@@ -118,19 +118,14 @@ def _violating_xi(d, p):
     t = p - 2.0
     best = None
     for sign in (1.0, -1.0):
-        pencil = [
-            [s * d.S_r[i][j] + sign * t * d.S_i[i][j] for j in range(d.n)]
-            for i in range(d.n)
-        ]
-        vals, vecs = jacobi_eigh(pencil)
+        vals, V = jacobi_eigh(s * d.S_r + sign * t * d.S_i)
         if best is None or vals[0] < best[0]:
-            xi = [vecs[i][0] for i in range(d.n)]
-            best = (vals[0], xi)
+            best = (vals[0], V[:, 0])
     xi = best[1]
     lead = next((v for v in xi if v != 0.0), 1.0)
     if lead < 0.0:
-        xi = [-v for v in xi]
-    return xi
+        xi = -xi
+    return xi.tolist()
 
 
 def _canonical_bump(grid, domain):

@@ -447,6 +447,8 @@ def falsify(spec, p, budget=2000, seed=0, workers=None, grid=None):
     value is below -TOL_NEG relative to the probe's H^1 size.
     """
     p = _validate_p(p)
+    if budget < 1:
+        raise ValueError(f"evaluation budget must be at least 1, got {budget!r}")
     if workers is None:
         workers = int(os.environ.get("DISSIPATE_WORKERS", "1") or "1")
     workers = max(1, workers)

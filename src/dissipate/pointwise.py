@@ -18,9 +18,10 @@ controls the full admissible interval of exponents
 [2 + 2 lam (lam - sqrt(lam^2+1)), 2 + 2 lam (lam + sqrt(lam^2+1))],
 whose endpoints are Hoelder conjugate.
 
-The eigenvalue workhorse is a cyclic Jacobi sweep; the same
-eigendecomposition backs the pseudo-inverse used for singular linear
-systems (drift compensation, sufficiency polynomial minimization).
+The eigenvalue workhorse is LAPACK's symmetric solver (numpy.linalg
+eigh/eigvalsh); the same eigendecomposition backs the pseudo-inverse
+used for singular linear systems (drift compensation, sufficiency
+polynomial minimization).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ TOL_SYS = 1e-8         # linear system consistency, scaled by 1 + |rhs|
 RANK_TOL = 1e-12       # relative eigenvalue cutoff for pseudo-inverses
 BISECT_RELWIDTH = 1e-12
 BRACKET_MAX = 2.0 ** 60
-_JACOBI_SWEEPS = 60
 
 __all__ = [
     "SymDecomp",
@@ -92,77 +92,30 @@ def decompose(A):
 
 
 # ----------------------------------------------------------------------
-# cyclic Jacobi eigensolver
+# symmetric eigensolver
 
 
 def jacobi_eigh(S, vectors=True):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a real symmetric matrix (LAPACK via numpy).
 
-    Sweeps run until the off-diagonal Frobenius norm falls below
-    1e-14 times the Frobenius norm of the input.  Returns (w, V) with
-    eigenvalues w ascending and eigenvector columns V (V is None when
-    ``vectors`` is false).  Matrices here are tiny, so plain Python
-    loops over a nested list beat array overhead.
+    Returns (w, V) with eigenvalues w ascending and eigenvector columns
+    V (V is None when ``vectors`` is false).  Input must be square and
+    symmetric to 1e-12 (1 + max |S|); only its lower triangle is read.
     """
     S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if S.ndim != 2 or S.shape[1] != n:
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(S, S.T, atol=1e-12 * (1.0 + np.abs(S).max(initial=0.0))):
+    # written as "not <=" so that NaN entries are rejected too
+    if not np.abs(S - S.T).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(S).max(initial=0.0)):
         raise ValueError("matrix is not symmetric")
-    if n == 1:
-        w = np.array([S[0, 0]])
-        return (w, np.array([[1.0]])) if vectors else (w, None)
-
-    a = [[float(S[i, j]) for j in range(n)] for i in range(n)]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if vectors else None
-    target = 1e-14 * math.sqrt(sum(S[i, j] ** 2 for i in range(n) for j in range(n)))
-
-    for _ in range(_JACOBI_SWEEPS):
-        off = math.sqrt(2.0 * sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q][q] - a[p][p]) / apq
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = a[i][p]
-                    aiq = a[i][q]
-                    a[i][p] = a[p][i] = aip - s * (aiq + tau * aip)
-                    a[i][q] = a[q][i] = aiq + s * (aip - tau * aiq)
-                if vectors:
-                    for i in range(n):
-                        vip = v[i][p]
-                        viq = v[i][q]
-                        v[i][p] = vip - s * (viq + tau * vip)
-                        v[i][q] = viq + s * (vip - tau * viq)
-
-    w = np.array([a[i][i] for i in range(n)])
-    order = np.argsort(w, kind="stable")
-    w = w[order]
     if not vectors:
-        return w, None
-    V = np.array(v)[:, order]
+        return np.linalg.eigvalsh(S), None
+    w, V = np.linalg.eigh(S)
     return w, V
 
 
 def min_eigenvalue(S):
-    """Smallest eigenvalue of a real symmetric matrix (cyclic Jacobi)."""
+    """Smallest eigenvalue of a real symmetric matrix."""
     w, _ = jacobi_eigh(S, vectors=False)
     return float(w[0])
 
@@ -174,7 +127,7 @@ def trace_norm(S):
 
 
 def psd_pinv_apply(S, rhs):
-    """Least-squares solve S x = rhs for symmetric S via the Jacobi
+    """Least-squares solve S x = rhs for symmetric S via the
     eigendecomposition pseudo-inverse.  Returns (x, residual_norm)."""
     w, V = jacobi_eigh(S, vectors=True)
     cutoff = RANK_TOL * max(np.abs(w).max(initial=0.0), 1e-300)

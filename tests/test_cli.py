@@ -50,6 +50,14 @@ class TestExitCodes:
         assert code == 2
         assert "--p" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_falsifier_budget_below_one(self, budget):
+        code, out, err = run_cli("falsify", preset("example2"), "--p", "2", "--budget", budget)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "budget" in err
+        assert out == ""
+
     def test_failing_check_still_completes(self):
         code, out, _ = run_cli("check", preset("one_plus_i_laplacian"), "--p", "12")
         assert code == 0

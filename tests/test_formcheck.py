@@ -299,6 +299,12 @@ class TestFalsifier:
         res = falsify(spec, 2.0, budget=40, seed=0)
         assert res.evaluations <= 40
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_rejected(self, budget):
+        spec = spec_from_dict(load_preset("example2"))
+        with pytest.raises(ValueError, match="budget"):
+            falsify(spec, 2.0, budget=budget, seed=0)
+
     def test_threshold_is_relative_to_the_probe_size(self):
         spec = spec_from_dict(load_preset("example1"))
         res = falsify(spec, 2.0, budget=60, seed=0)

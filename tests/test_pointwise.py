@@ -26,8 +26,8 @@ SQ2 = math.sqrt(2.0)
 def lam_oracle(S_r, S_i):
     """Bisection for the admissible pencil ratio using numpy eigenvalues.
 
-    Independent of the library's Jacobi sweep solver, same tolerance
-    semantics.
+    The pencil eigenvalues come from numpy directly, not through
+    ``pointwise``; same tolerance semantics.
     """
     tol = TOL_PSD * (1.0 + trace_norm(S_r))
 
@@ -91,6 +91,21 @@ class TestJacobi:
 
     def test_accepts_nested_lists(self):
         w, _ = jacobi_eigh([[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(np.asarray(w), [1.0, 3.0], atol=1e-12)
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            jacobi_eigh(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("lower", [1.0 + 1e-6, math.nan])
+    def test_rejects_an_asymmetric_matrix(self, lower):
+        S = np.array([[2.0, 1.0], [lower, 2.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigh(S)
+
+    def test_values_only_returns_no_vectors(self):
+        w, V = jacobi_eigh([[2.0, 1.0], [1.0, 2.0]], vectors=False)
+        assert V is None
         np.testing.assert_allclose(np.asarray(w), [1.0, 3.0], atol=1e-12)
 
     def test_min_eigenvalue_closed_form(self):
