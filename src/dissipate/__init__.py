@@ -53,8 +53,10 @@ from .pointwise import (
     constant_coeff_verdict,
     decompose,
     jacobi_eigh,
+    lambda_nodes,
     lambda_of,
     min_eigenvalue,
+    p_condition_nodes,
     p_interval,
     q_sufficiency,
 )
@@ -102,8 +104,10 @@ __all__ = [
     "constant_coeff_verdict",
     "decompose",
     "jacobi_eigh",
+    "lambda_nodes",
     "lambda_of",
     "min_eigenvalue",
+    "p_condition_nodes",
     "p_interval",
     "q_sufficiency",
     "Report",

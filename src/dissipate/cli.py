@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -40,13 +41,12 @@ from .coeffspec import (
 from .formcheck import _FAMILY_NAMES, falsify
 from .grids import Grid, GridFunction
 from .pointwise import (
-    LambdaResult,
     NonnegativityError,
-    check_p_condition,
     constant_coeff_verdict,
     decompose,
     jacobi_eigh,
     lambda_of,
+    p_condition_nodes,
     p_interval,
     q_sufficiency,
 )
@@ -94,10 +94,11 @@ def _field_samples(spec):
 
 def _condition_everywhere(sam, p):
     """All-nodes pointwise condition; returns (holds, first_bad_index)."""
-    for j in range(sam.A.shape[0]):
-        if not check_p_condition(decompose(sam.A[j]), p):
-            return False, j
-    return True, None
+    holds = p_condition_nodes(decompose(sam.A), p)
+    bad = int(np.argmin(holds))
+    if holds[bad]:
+        return True, None
+    return False, bad
 
 
 def _im_symmetric(sam):
@@ -180,26 +181,17 @@ def _cmd_check(args):
     return report, (1 if args.strict and not holds else 0)
 
 
-def _p_interval_from(lam, witness_xi=None):
-    return p_interval(LambdaResult(lam=lam, witness_xi=witness_xi))
-
-
 def _cmd_interval(args):
     spec, digest = _load(args.spec)
     sam, pts = _field_samples(spec)
-    lam = math.inf
-    witness_xi = None
-    where = None
-    for j in range(sam.A.shape[0]):
-        res = lambda_of(decompose(sam.A[j]))
-        if res.lam < lam:
-            lam, witness_xi, where = res.lam, res.witness_xi, j
-    itv = _p_interval_from(lam, witness_xi)
+    res = lambda_of(decompose(sam.A))
+    lam = res.lam
+    itv = p_interval(res)
     witness = None
-    if witness_xi is not None:
-        witness = {"xi": list(witness_xi)}
-        if where is not None and sam.A.shape[0] > 1:
-            witness["node"] = [float(v) for v in pts[where]]
+    if res.witness_xi is not None:
+        witness = {"xi": list(res.witness_xi)}
+        if sam.A.shape[0] > 1:
+            witness["node"] = [float(v) for v in pts[res.node]]
     report = Report(
         command="interval",
         spec=digest,
@@ -471,7 +463,7 @@ def _example_constant_endpoint(spec, digest):
     b_eff = sam.b[0] + sam.c[0]
     v = constant_coeff_verdict(sam.A[0], b_eff, sam.a[0], p)
     res = lambda_of(decompose(sam.A[0]))
-    itv = _p_interval_from(res.lam, res.witness_xi)
+    itv = p_interval(res)
     return Report(
         command="examples",
         spec=digest,
@@ -498,7 +490,9 @@ def _example_constant_endpoint(spec, digest):
 # parser
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default=None, dest="format_opt",

@@ -1,6 +1,13 @@
-"""Pointwise algebra on a sampled coefficient matrix.
+"""Pointwise algebra on sampled coefficient matrices.
 
-Everything here works on one n-by-n complex matrix at a time (n small).
+The matrices are n-by-n with n small.  ``decompose``, ``jacobi_eigh``,
+``min_eigenvalue``, ``trace_norm``, ``p_condition_nodes`` and
+``lambda_nodes`` accept a stack of them, shape (..., n, n), one matrix
+per grid node: every LAPACK call covers the whole stack, and each
+matrix sees exactly the arithmetic it would see on its own.
+``check_p_condition`` and ``lambda_of`` run the node kernels on a
+single matrix; ``lambda_of`` also reduces a stack to its smallest ratio.
+
 The central question is, for a given exponent p in (1, inf):
 
     |p - 2| |<Im A xi, xi>|  <=  2 sqrt(p-1) <Re A xi, xi>   for all real xi,
@@ -45,8 +52,10 @@ __all__ = [
     "min_eigenvalue",
     "trace_norm",
     "psd_pinv_apply",
+    "p_condition_nodes",
     "check_p_condition",
     "NonnegativityError",
+    "lambda_nodes",
     "lambda_of",
     "LambdaResult",
     "PInterval",
@@ -64,7 +73,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymDecomp:
-    """Symmetric/skew split of the real and imaginary parts of a matrix."""
+    """Symmetric/skew split of the real and imaginary parts of a matrix,
+    or of every matrix of a stack (each part then has shape (..., n, n))."""
 
     S_r: np.ndarray
     K_r: np.ndarray
@@ -73,21 +83,24 @@ class SymDecomp:
 
     @property
     def n(self):
-        return self.S_r.shape[0]
+        return self.S_r.shape[-1]
 
 
 def decompose(A):
-    """Split complex A into symmetric/skew parts of Re A and Im A."""
+    """Split complex A, one matrix or a stack of shape (..., n, n), into
+    the symmetric/skew parts of Re A and Im A, matrix by matrix."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("expected a square matrix")
-    re = A.real.copy()
-    im = A.imag.copy()
+    re = A.real
+    im = A.imag
+    re_t = re.swapaxes(-1, -2)
+    im_t = im.swapaxes(-1, -2)
     return SymDecomp(
-        S_r=0.5 * (re + re.T),
-        K_r=0.5 * (re - re.T),
-        S_i=0.5 * (im + im.T),
-        K_i=0.5 * (im - im.T),
+        S_r=0.5 * (re + re_t),
+        K_r=0.5 * (re - re_t),
+        S_i=0.5 * (im + im_t),
+        K_i=0.5 * (im - im_t),
     )
 
 
@@ -96,17 +109,22 @@ def decompose(A):
 
 
 def jacobi_eigh(S, vectors=True):
-    """Eigendecomposition of a real symmetric matrix (LAPACK via numpy).
+    """Eigendecomposition of a real symmetric matrix, or of every matrix
+    of a stack of shape (..., n, n) (LAPACK via numpy).
 
-    Returns (w, V) with eigenvalues w ascending and eigenvector columns
-    V (V is None when ``vectors`` is false).  Input must be square and
-    symmetric to 1e-12 (1 + max |S|); only its lower triangle is read.
+    Returns (w, V) with eigenvalues w ascending along the last axis and
+    eigenvector columns V (V is None when ``vectors`` is false).  Every
+    matrix must be square and symmetric to 1e-12 (1 + its own max |S|);
+    a single one that is not, or that holds a NaN, fails the whole call.
+    Only the lower triangles are read.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise ValueError("expected a square matrix")
-    # written as "not <=" so that NaN entries are rejected too
-    if not np.abs(S - S.T).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(S).max(initial=0.0)):
+    skew = np.abs(S - S.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(S).max(axis=(-2, -1), initial=0.0)
+    # written as "not all <=" so that NaN entries are rejected too
+    if not (skew <= 1e-12 * (1.0 + scale)).all():
         raise ValueError("matrix is not symmetric")
     if not vectors:
         return np.linalg.eigvalsh(S), None
@@ -114,16 +132,23 @@ def jacobi_eigh(S, vectors=True):
     return w, V
 
 
+def _per_matrix(x):
+    """A float for a single matrix, the array for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
 def min_eigenvalue(S):
-    """Smallest eigenvalue of a real symmetric matrix."""
+    """Smallest eigenvalue of a real symmetric matrix, or of each matrix
+    of a stack."""
     w, _ = jacobi_eigh(S, vectors=False)
-    return float(w[0])
+    return _per_matrix(w[..., 0])
 
 
 def trace_norm(S):
-    """Sum of absolute eigenvalues (nuclear norm) of a real symmetric matrix."""
+    """Sum of absolute eigenvalues (nuclear norm) of a real symmetric
+    matrix, or of each matrix of a stack."""
     w, _ = jacobi_eigh(S, vectors=False)
-    return float(np.abs(w).sum())
+    return _per_matrix(np.abs(w).sum(axis=-1))
 
 
 def psd_pinv_apply(S, rhs):
@@ -141,88 +166,136 @@ def psd_pinv_apply(S, rhs):
 # the algebraic p-condition
 
 
+def _pencils_psd(S, step, tol):
+    """Per matrix of a stack: both S + step and S - step PSD to -tol,
+    decided in one LAPACK call."""
+    return (min_eigenvalue(np.stack((S + step, S - step))) >= -tol).all(axis=0)
+
+
 def _validate_p(p):
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 1.0:
         raise ValueError(f"exponent p must be finite and > 1, got {p!r}")
     return float(p)
 
 
-def check_p_condition(d, p):
-    """True iff |p-2| |<Im A xi,xi>| <= 2 sqrt(p-1) <Re A xi,xi> for all xi.
+def p_condition_nodes(d, p):
+    """Per-node p-condition of a stacked SymDecomp: a bool array of the
+    stack's shape, true where |p-2| |<Im A xi,xi>| <= 2 sqrt(p-1) <Re A xi,xi>
+    for all xi.
 
     Decided through the two matrices 2 sqrt(p-1) S_r +- (p-2) S_i, each
-    required to have smallest eigenvalue >= -TOL_PSD (1 + trace norm of S_r).
+    required to have smallest eigenvalue >= -TOL_PSD (1 + trace norm of S_r);
+    both pencils of every node go to LAPACK in one call.
     """
     p = _validate_p(p)
     tol = TOL_PSD * (1.0 + trace_norm(d.S_r))
-    s = 2.0 * math.sqrt(p - 1.0)
-    plus = s * d.S_r + (p - 2.0) * d.S_i
-    minus = s * d.S_r - (p - 2.0) * d.S_i
-    return min_eigenvalue(plus) >= -tol and min_eigenvalue(minus) >= -tol
+    return _pencils_psd(2.0 * math.sqrt(p - 1.0) * d.S_r, (p - 2.0) * d.S_i, tol)
+
+
+def check_p_condition(d, p):
+    """True iff |p-2| |<Im A xi,xi>| <= 2 sqrt(p-1) <Re A xi,xi> for all xi
+    (``p_condition_nodes`` on a single matrix)."""
+    return bool(p_condition_nodes(d, p))
 
 
 class NonnegativityError(ValueError):
     """Re A is not positive semidefinite, so no exponent is admissible."""
 
 
+def lambda_nodes(d):
+    """Per-node ratio inf <S_r xi,xi>/|<S_i xi,xi>| of a stacked SymDecomp.
+
+    Returns (lam, hi), float arrays of the stack's shape: the ratio and
+    the upper end of its final bisection bracket.  Each node's ratio is
+    sup { t >= 0 : S_r + t S_i and S_r - t S_i both PSD }, located by
+    bracket doubling from t = 1 and bisection to relative width 1e-12;
+    it is math.inf (and so is hi) when the node's symmetric part of Im A
+    vanishes or no bracket is found below 2^60.  Every step tests the
+    pencils of all nodes still searching in one LAPACK call, and each
+    node takes exactly the steps it would take on its own.  Requires
+    every S_r PSD (NonnegativityError otherwise, since then not even
+    p = 2 is admissible).
+    """
+    n = d.n
+    S_r = d.S_r.reshape(-1, n, n)
+    S_i = d.S_i.reshape(-1, n, n)
+    w, _ = jacobi_eigh(S_r, vectors=False)
+    tol = TOL_PSD * (1.0 + np.abs(w).sum(axis=-1))
+    if (w[:, 0] < -tol).any():
+        raise NonnegativityError("Re A has a negative direction")
+    lam = np.full(len(S_r), math.inf)
+    lam_hi = np.full(len(S_r), math.inf)
+
+    # the nodes still searching, with their pencils, tolerances and brackets
+    seeing = np.linalg.norm(S_i, axis=(1, 2)) > TOL_ZERO * (1.0 + np.linalg.norm(S_r, axis=(1, 2)))
+    nodes = np.flatnonzero(seeing)
+    S_r, S_i, tol = S_r[nodes], S_i[nodes], tol[nodes]
+    # feasible at t = 1: bracket [1, 2], doubled while its top is feasible; else [0, 1]
+    up = _pencils_psd(S_r, S_i, tol)
+    lo = np.where(up, 1.0, 0.0)
+    hi = np.where(up, 2.0, 1.0)
+    grow = np.flatnonzero(up)
+    while grow.size:
+        grow = grow[_pencils_psd(S_r[grow], hi[grow][:, None, None] * S_i[grow], tol[grow])]
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        # no bracket below 2^60: lo = inf stops the node at the first width test
+        escaped = hi[grow] > BRACKET_MAX
+        lo[grow[escaped]] = math.inf
+        grow = grow[~escaped]
+    while True:
+        # a node stops once its bracket is narrow enough
+        going = hi - lo > BISECT_RELWIDTH * (1.0 + hi)
+        if not going.all():
+            lam[nodes[~going]] = lo[~going]
+            lam_hi[nodes[~going]] = hi[~going]
+            nodes, S_r, S_i, tol, lo, hi = (x[going] for x in (nodes, S_r, S_i, tol, lo, hi))
+        if not nodes.size:
+            break
+        mid = 0.5 * (lo + hi)
+        ok = _pencils_psd(S_r, mid[:, None, None] * S_i, tol)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    lam_hi[np.isinf(lam)] = math.inf
+    shape = d.S_r.shape[:-2]
+    return lam.reshape(shape), lam_hi.reshape(shape)
+
+
+def _pinch_direction(S_r, S_i, t):
+    """Lowest eigenvector of whichever pencil S_r +- t S_i is lower,
+    signed so that its largest entry is positive."""
+    w, V = jacobi_eigh(np.stack((S_r + t * S_i, S_r - t * S_i)))
+    xi = V[0, :, 0] if w[0, 0] <= w[1, 0] else V[1, :, 0]
+    k = int(np.argmax(np.abs(xi)))
+    if xi[k] < 0:
+        xi = -xi
+    return xi
+
+
 @dataclass(frozen=True)
 class LambdaResult:
     lam: float  # may be math.inf
     witness_xi: np.ndarray | None  # direction (nearly) attaining the ratio
+    node: int | None = None  # flat index of the attaining node of a stack
 
 
 def lambda_of(d):
     """Ratio inf <S_r xi,xi>/|<S_i xi,xi>| over directions seeing S_i.
 
-    Returned as sup { t >= 0 : S_r + t S_i and S_r - t S_i both PSD },
-    located by bracket doubling from t = 1 and bisection to relative
-    width 1e-12.  math.inf when the symmetric part of Im A vanishes or
-    no bracket is found below 2^60.  Requires S_r PSD (NonnegativityError
-    otherwise, since then not even p = 2 is admissible).
+    For one matrix, ``lambda_nodes`` on a stack of one; for a stack, the
+    smallest ratio over its nodes, attained first at flat index ``node``.
+    The witness is the pinching direction at the attaining node's upper
+    bracket, None when the ratio is math.inf.  Raises NonnegativityError
+    as ``lambda_nodes`` does.
     """
-    S_r = d.S_r
-    S_i = d.S_i
-    tol = TOL_PSD * (1.0 + trace_norm(S_r))
-    if min_eigenvalue(S_r) < -tol:
-        raise NonnegativityError("Re A has a negative direction")
-    ni = float(np.linalg.norm(S_i))
-    if ni <= TOL_ZERO * (1.0 + float(np.linalg.norm(S_r))):
+    lam, hi = lambda_nodes(d)
+    lam, hi = lam.reshape(-1), hi.reshape(-1)
+    j = int(np.argmin(lam))
+    if math.isinf(lam[j]):
         return LambdaResult(math.inf, None)
-
-    def feasible(t):
-        return (
-            min_eigenvalue(S_r + t * S_i) >= -tol
-            and min_eigenvalue(S_r - t * S_i) >= -tol
-        )
-
-    if feasible(1.0):
-        lo, hi = 1.0, 2.0
-        while feasible(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > BRACKET_MAX:
-                return LambdaResult(math.inf, None)
-    else:
-        lo, hi = 0.0, 1.0
-
-    while hi - lo > BISECT_RELWIDTH * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-
-    # witness: the pinching direction of whichever pencil goes indefinite
-    wp, Vp = jacobi_eigh(S_r + hi * S_i)
-    wm, Vm = jacobi_eigh(S_r - hi * S_i)
-    if wp[0] <= wm[0]:
-        xi = Vp[:, 0]
-    else:
-        xi = Vm[:, 0]
-    k = int(np.argmax(np.abs(xi)))
-    if xi[k] < 0:
-        xi = -xi
-    return LambdaResult(float(lo), xi)
+    n = d.n
+    xi = _pinch_direction(d.S_r.reshape(-1, n, n)[j], d.S_i.reshape(-1, n, n)[j], float(hi[j]))
+    return LambdaResult(float(lam[j]), xi, j if d.S_r.ndim > 2 else None)
 
 
 @dataclass(frozen=True)

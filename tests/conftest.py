@@ -7,6 +7,7 @@ fixtures, so individual test modules stay runnable on their own.
 from __future__ import annotations
 
 import io
+import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,6 +16,7 @@ import numpy as np
 
 from dissipate import GridFunction
 from dissipate.cli import main as cli_main
+from dissipate.pointwise import TOL_PSD, trace_norm
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PRESET_DIR = REPO_ROOT / "src" / "dissipate" / "presets"
@@ -104,6 +106,68 @@ def seeded_matrices(count=200, seed=1234, dims=(1, 2, 3, 5), allow_zero_im=True)
             S_i[0, 0] = 1.0
         mats.append((S_r + K_r) + 1j * (S_i + K_i))
     return mats
+
+
+def lam_bracket_oracle(S_r, S_i):
+    """Bisection for the admissible pencil ratio using numpy eigenvalues.
+
+    The pencil eigenvalues come from numpy directly, not through
+    ``pointwise``; same tolerance semantics.  Returns (lam, hi): the
+    ratio and the upper end of its final bracket, both inf when the
+    ratio is.
+    """
+    tol = TOL_PSD * (1.0 + trace_norm(S_r))
+
+    def feasible(t):
+        return (
+            np.linalg.eigvalsh(S_r + t * S_i).min() >= -tol
+            and np.linalg.eigvalsh(S_r - t * S_i).min() >= -tol
+        )
+
+    if np.linalg.norm(S_i) == 0.0:
+        return math.inf, math.inf
+    if feasible(1.0):
+        lo, hi = 1.0, 2.0
+        while feasible(hi):
+            lo = hi
+            hi *= 2.0
+            if hi > 2.0**60:
+                return math.inf, math.inf
+    else:
+        lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def lam_oracle(S_r, S_i):
+    """The ratio alone from ``lam_bracket_oracle``."""
+    return lam_bracket_oracle(S_r, S_i)[0]
+
+
+def pinch_oracle(S_r, S_i, t):
+    """Lowest eigenvector (numpy) of the lower of the pencils S_r +- t S_i,
+    signed so that its largest entry is positive."""
+    wp, Vp = np.linalg.eigh(S_r + t * S_i)
+    wm, Vm = np.linalg.eigh(S_r - t * S_i)
+    xi = Vp[:, 0] if wp[0] <= wm[0] else Vm[:, 0]
+    return -xi if xi[int(np.argmax(np.abs(xi)))] < 0 else xi
+
+
+def p_condition_oracle(A, p):
+    """The p-condition of one complex matrix from numpy eigenvalues."""
+    S_r = 0.5 * (A.real + A.real.T)
+    S_i = 0.5 * (A.imag + A.imag.T)
+    tol = TOL_PSD * (1.0 + np.abs(np.linalg.eigvalsh(S_r)).sum())
+    s = 2.0 * math.sqrt(p - 1.0)
+    return all(
+        np.linalg.eigvalsh(s * S_r + sign * (p - 2.0) * S_i).min() >= -tol
+        for sign in (1.0, -1.0)
+    )
 
 
 # A one dimensional operator with every coefficient populated and

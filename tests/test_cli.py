@@ -3,9 +3,21 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from conftest import GOLDEN_CASES, GOLDEN_DIR, preset, run_cli
+from dissipate import Grid, decompose, p_interval, sample_operator, spec_from_dict
+from dissipate.cli import _build_parser
+
+from conftest import (
+    GOLDEN_CASES,
+    GOLDEN_DIR,
+    lam_bracket_oracle,
+    p_condition_oracle,
+    pinch_oracle,
+    preset,
+    run_cli,
+)
 
 PAYLOAD_KEYS = ["command", "spec", "inputs", "verdict", "numbers", "witness", "notes", "timing"]
 
@@ -122,6 +134,101 @@ class TestRendering:
         assert code == 0
         assert path not in out
         assert "example3" not in out
+
+
+class TestParserReuse:
+    """One parser serves every call of the process; no call leaks into the next."""
+
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_format_does_not_stick(self):
+        path = preset("one_plus_i_laplacian")
+        payload = json_out("interval", path, "--format", "json")
+        assert payload["command"] == "interval"
+        code, out, _ = run_cli("interval", path)
+        assert code == 0 and out.startswith("dissipate interval")
+        payload = json_out("--format", "json", "interval", path)
+        assert payload["command"] == "interval"
+        code, out, _ = run_cli("interval", path)
+        assert code == 0 and out.startswith("dissipate interval")
+
+    def test_strict_does_not_stick(self):
+        path = preset("one_plus_i_laplacian")
+        code, _, _ = run_cli("check", path, "--p", "12", "--strict")
+        assert code == 1
+        code, out, _ = run_cli("check", path, "--p", "12", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["inputs"]["strict"] is False
+
+    def test_options_of_one_subcommand_do_not_reach_another(self):
+        payload = json_out(
+            "sufficiency", preset("laplacian1d"), "--p", "2", "--alpha", "0.5", "--format", "json",
+        )
+        assert payload["inputs"]["alpha"] == 0.5
+        payload = json_out("sufficiency", preset("laplacian1d"), "--p", "2", "--format", "json")
+        assert payload["inputs"]["alpha"] == 0.0
+
+
+# An 8^3 field shaped like the benchmark's: Re A diagonal and variable,
+# Im A symmetric and variable next to the diagonal only.
+FIELD_3D = {
+    "n": 3,
+    "domain": [[0.0, 1.0]] * 3,
+    "grid": [8, 8, 8],
+    "A": [
+        [{"re": "1.3-0.2*x1^2"}, {"im": "0.4*(1+0.1*sin(2.3*x2+0.7))"}, {}],
+        [{"im": "0.4*(1+0.1*sin(2.3*x2+0.7))"}, {"re": "1.0-0.1*x2^2"}, {"im": "0.3*(1+0.1*sin(3.1*x3+1.9))"}],
+        [{}, {"im": "0.3*(1+0.1*sin(3.1*x3+1.9))"}, {"re": "1.5-0.25*x3^2"}],
+    ],
+}
+
+
+class TestField3D:
+    """Every node of a 512-node field against per-node numpy oracles."""
+
+    @pytest.fixture(scope="class")
+    def field(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("field3d") / "field.json"
+        path.write_text(json.dumps(FIELD_3D), encoding="ascii")
+        spec = spec_from_dict(FIELD_3D)
+        pts = Grid.from_spec(spec).points()
+        A = sample_operator(spec, pts).A
+        d = decompose(A)
+        brackets = [lam_bracket_oracle(d.S_r[j], d.S_i[j]) for j in range(len(A))]
+        return str(path), pts, A, d, brackets
+
+    def test_interval_matches_the_per_node_oracle(self, field):
+        path, pts, _, d, brackets = field
+        payload = json_out("interval", path, "--format", "json")
+        lams = [lam for lam, _ in brackets]
+        j = lams.index(min(lams))
+        lam, hi = brackets[j]
+        assert payload["numbers"]["nodes"] == 512
+        assert payload["numbers"]["lambda"] == lam
+        assert payload["numbers"]["p_max"] == p_interval(lam).p_max
+        assert payload["witness"]["node"] == pts[j].tolist()
+        assert payload["witness"]["xi"] == pinch_oracle(d.S_r[j], d.S_i[j], hi).tolist()
+
+    def test_check_outside_names_the_first_failing_node(self, field):
+        path, pts, A, _, brackets = field
+        lams = sorted(lam for lam, _ in brackets)
+        # fails at the nodes of the smallest ratios only
+        p = 0.5 * (p_interval(lams[0]).p_max + p_interval(lams[len(lams) // 4]).p_max)
+        holds = [p_condition_oracle(M, p) for M in A]
+        first = holds.index(False)
+        assert first > 0 and sum(holds) > len(holds) // 2
+        payload = json_out("check", path, "--p", repr(p), "--format", "json")
+        assert payload["verdict"]["decision"] is False
+        assert payload["witness"]["node"] == pts[first].tolist()
+
+    def test_check_inside_holds_everywhere(self, field):
+        path, _, A, _, brackets = field
+        p = 0.5 * (2.0 + p_interval(min(lam for lam, _ in brackets)).p_max)
+        assert all(p_condition_oracle(M, p) for M in A)
+        payload = json_out("check", path, "--p", repr(p), "--format", "json")
+        assert payload["verdict"]["decision"] is True
+        assert payload["witness"] is None
 
 
 class TestCheck:

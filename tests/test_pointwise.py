@@ -16,45 +16,17 @@ from dissipate import (
     p_interval,
     q_sufficiency,
 )
-from dissipate.pointwise import TOL_PSD, trace_norm
+from dissipate.pointwise import lambda_nodes, p_condition_nodes, trace_norm
 
-from conftest import seeded_matrices
+from conftest import (
+    lam_bracket_oracle,
+    lam_oracle,
+    p_condition_oracle,
+    pinch_oracle,
+    seeded_matrices,
+)
 
 SQ2 = math.sqrt(2.0)
-
-
-def lam_oracle(S_r, S_i):
-    """Bisection for the admissible pencil ratio using numpy eigenvalues.
-
-    The pencil eigenvalues come from numpy directly, not through
-    ``pointwise``; same tolerance semantics.
-    """
-    tol = TOL_PSD * (1.0 + trace_norm(S_r))
-
-    def feasible(t):
-        return (
-            np.linalg.eigvalsh(S_r + t * S_i).min() >= -tol
-            and np.linalg.eigvalsh(S_r - t * S_i).min() >= -tol
-        )
-
-    if np.linalg.norm(S_i) == 0.0:
-        return math.inf
-    if feasible(1.0):
-        lo, hi = 1.0, 2.0
-        while feasible(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > 2.0**60:
-                return math.inf
-    else:
-        lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12 * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 class TestDecompose:
@@ -71,6 +43,16 @@ class TestDecompose:
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         d = decompose(A)
         np.testing.assert_allclose(d.S_r + d.K_r + 1j * (d.S_i + d.K_i), A, atol=1e-15)
+
+    def test_a_stack_splits_matrix_by_matrix(self):
+        mats = seeded_matrices(count=12, seed=4, dims=(3,))
+        d = decompose(np.stack(mats))
+        assert d.n == 3
+        assert d.S_r.shape == (12, 3, 3)
+        for j, A in enumerate(mats):
+            one = decompose(A)
+            for part in ("S_r", "K_r", "S_i", "K_i"):
+                assert np.array_equal(getattr(d, part)[j], getattr(one, part))
 
 
 class TestJacobi:
@@ -107,6 +89,48 @@ class TestJacobi:
         w, V = jacobi_eigh([[2.0, 1.0], [1.0, 2.0]], vectors=False)
         assert V is None
         np.testing.assert_allclose(np.asarray(w), [1.0, 3.0], atol=1e-12)
+
+    @pytest.mark.parametrize("lower", [1.0 + 1e-6, math.nan])
+    def test_one_bad_matrix_fails_the_whole_stack(self, lower):
+        stack = np.tile(np.array([[2.0, 1.0], [1.0, 2.0]]), (5, 1, 1))
+        stack[3, 1, 0] = lower
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigh(stack)
+        with pytest.raises(ValueError, match="symmetric"):
+            min_eigenvalue(stack)
+
+    def test_symmetry_tolerance_is_per_matrix(self):
+        # an asymmetry within tolerance of a large matrix is not within
+        # tolerance of a small one stacked next to it
+        big = np.array([[1e6, 1.0], [1.0 + 1e-7, 1e6]])
+        small = np.array([[1.0, 1.0], [1.0 + 1e-7, 1.0]])
+        jacobi_eigh(big)
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigh(np.stack((big, small)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_a_stack_equals_the_matrices_one_by_one(self, n):
+        rng = np.random.default_rng(40 + n)
+        H = rng.normal(size=(4, 6, n, n))
+        stack = 0.5 * (H + np.swapaxes(H, -1, -2))
+        w, V = jacobi_eigh(stack)
+        wv, none = jacobi_eigh(stack, vectors=False)
+        assert none is None
+        assert w.shape == (4, 6, n) and V.shape == (4, 6, n, n)
+        low = min_eigenvalue(stack)
+        for i in range(4):
+            for j in range(6):
+                wj, Vj = jacobi_eigh(stack[i, j])
+                assert np.array_equal(w[i, j], wj)
+                assert np.array_equal(V[i, j], Vj)
+                assert np.array_equal(wv[i, j], jacobi_eigh(stack[i, j], vectors=False)[0])
+                assert low[i, j] == min_eigenvalue(stack[i, j])
+
+    def test_single_matrix_helpers_return_floats(self):
+        S = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert type(min_eigenvalue(S)) is float
+        assert type(trace_norm(S)) is float
+        assert trace_norm(np.stack((S, -S))).tolist() == [4.0, 4.0]
 
     def test_min_eigenvalue_closed_form(self):
         S = 2.0 * SQ2 * np.eye(2) - np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -185,12 +209,100 @@ class TestLambda:
     def test_matches_the_numpy_bisection_oracle(self):
         for A in seeded_matrices(count=60, seed=21):
             d = decompose(A)
-            lam = lambda_of(d).lam
-            ref = lam_oracle(d.S_r, d.S_i)
-            if math.isinf(ref) or math.isinf(lam):
-                assert math.isinf(ref) and math.isinf(lam)
+            res = lambda_of(d)
+            ref, hi = lam_bracket_oracle(d.S_r, d.S_i)
+            assert res.lam == ref
+            assert res.node is None
+            if math.isinf(ref):
+                assert res.witness_xi is None
             else:
-                assert lam == pytest.approx(ref, abs=1e-8 * (1.0 + ref))
+                assert np.array_equal(res.witness_xi, pinch_oracle(d.S_r, d.S_i, hi))
+
+
+def node_stack(n, seed, count=60):
+    """Seeded n-by-n coefficient matrices stacked as grid nodes."""
+    return np.stack(seeded_matrices(count=count, seed=seed, dims=(n,)))
+
+
+class TestNodeKernels:
+    """The node-batched bisection and p-condition against per-node oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_ratio_and_bracket_equal_the_oracle_at_every_node(self, n):
+        A = node_stack(n, seed=100 + n)
+        # widen the spread: some nodes with a small Im part (ratio above
+        # one, reached by bracket doubling), some with a large one
+        A = A.real + 1j * A.imag * np.geomspace(0.05, 20.0, len(A))[:, None, None]
+        d = decompose(A)
+        lam, hi = lambda_nodes(d)
+        assert lam.shape == hi.shape == (len(A),)
+        refs = [lam_bracket_oracle(d.S_r[j], d.S_i[j]) for j in range(len(A))]
+        assert lam.tolist() == [r[0] for r in refs]
+        assert hi.tolist() == [r[1] for r in refs]
+        assert np.isinf(lam).any()  # S_i = 0 nodes
+        assert (lam[np.isfinite(lam)] > 1.0).any()
+        assert (lam < 1.0).any()
+
+    def test_stack_shape_is_kept(self):
+        A = node_stack(2, seed=7, count=12).reshape(3, 4, 2, 2)
+        lam, hi = lambda_nodes(decompose(A))
+        assert lam.shape == hi.shape == (3, 4)
+        flat, _ = lambda_nodes(decompose(A.reshape(12, 2, 2)))
+        assert lam.reshape(-1).tolist() == flat.tolist()
+
+    def test_field_ratio_is_the_first_smallest_node(self):
+        A = node_stack(3, seed=31)
+        d = decompose(A)
+        refs = [lam_bracket_oracle(d.S_r[j], d.S_i[j]) for j in range(len(A))]
+        j = min(range(len(A)), key=lambda k: refs[k][0])
+        # the smallest node repeated at the end: the tie goes to the first
+        A = np.concatenate((A, A[j:j + 1]))
+        d = decompose(A)
+        res = lambda_of(d)
+        assert res.node == j
+        assert res.lam == refs[j][0]
+        assert np.array_equal(res.witness_xi, pinch_oracle(d.S_r[j], d.S_i[j], refs[j][1]))
+        alone = lambda_of(decompose(A[j]))
+        assert alone.lam == res.lam
+        assert np.array_equal(alone.witness_xi, res.witness_xi)
+
+    def test_a_field_without_symmetric_im_part_has_no_witness(self):
+        A = np.tile(np.eye(2) + 1j * np.array([[0.0, 1.0], [-1.0, 0.0]]), (9, 1, 1))
+        res = lambda_of(decompose(A))
+        assert math.isinf(res.lam)
+        assert res.witness_xi is None and res.node is None
+
+    def test_one_indefinite_real_part_fails_the_stack(self):
+        A = node_stack(2, seed=9, count=10)
+        A[6] = np.diag([1.0, -0.5]) + 1j * A[6].imag
+        with pytest.raises(NonnegativityError):
+            lambda_nodes(decompose(A))
+        with pytest.raises(NonnegativityError):
+            lambda_of(decompose(A))
+
+    def test_a_node_escaping_the_last_bracket_reads_inf(self, monkeypatch):
+        monkeypatch.setattr("dissipate.pointwise.BRACKET_MAX", 4.0)
+        A = np.stack([np.eye(2) + 1j * np.diag([g, 0.0]) for g in (2.0, 0.1, 0.5)])
+        lam, hi = lambda_nodes(decompose(A))
+        assert lam[0] == pytest.approx(0.5, abs=1e-8)
+        assert math.isinf(lam[1]) and math.isinf(hi[1])
+        assert lam[2] == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_p_condition_equals_the_oracle_at_every_node(self, n):
+        A = node_stack(n, seed=200 + n)
+        d = decompose(A)
+        for p in (1.05, 1.5, 2.0, 2.7, 4.0 + 2.0 * SQ2, 9.0):
+            got = p_condition_nodes(d, p)
+            assert got.dtype == bool and got.shape == (len(A),)
+            assert got.tolist() == [p_condition_oracle(M, p) for M in A]
+            assert [check_p_condition(decompose(M), p) for M in A] == got.tolist()
+
+    def test_p_condition_of_an_indefinite_node(self):
+        A = node_stack(2, seed=11, count=8)
+        A[5] = np.diag([1.0, -1.0]).astype(complex)
+        got = p_condition_nodes(decompose(A), 2.0)
+        assert got.tolist() == [True] * 5 + [False] + [True] * 2
 
 
 class TestPInterval:
