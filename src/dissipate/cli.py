@@ -35,6 +35,7 @@ from .coeffspec import (
     ExprError,
     SpecError,
     bump,
+    load_doc,
     sample_operator,
     spec_from_dict,
 )
@@ -44,11 +45,11 @@ from .pointwise import (
     NonnegativityError,
     constant_coeff_verdict,
     decompose,
-    jacobi_eigh,
     lambda_of,
     p_condition_nodes,
     p_interval,
     q_sufficiency,
+    violating_direction,
 )
 from .report import Report, render_report, spec_digest
 from .semigroup import discretize, estimate_omega, evolve
@@ -59,18 +60,6 @@ __all__ = ["main"]
 _PRESET_IDS = {1: "example1", 2: "example2", 3: "example3"}
 
 
-def _load_doc_from_file(path):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as err:
-        raise SpecError("$", f"cannot read spec: {err}") from err
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise SpecError("$", f"not valid JSON: {err}") from err
-
-
 def load_preset(name):
     """Parsed document of a bundled operator JSON (presets/<name>.json)."""
     ref = resources.files("dissipate") / "presets" / f"{name}.json"
@@ -78,7 +67,7 @@ def load_preset(name):
 
 
 def _load(path):
-    doc = _load_doc_from_file(path)
+    doc = load_doc(path)
     return spec_from_dict(doc), spec_digest(doc)
 
 
@@ -111,22 +100,6 @@ def _qualifier(spec, sam):
     if _im_symmetric(sam) and not spec.has_lower_order_terms:
         return "necessary-and-sufficient"
     return "necessary-only"
-
-
-def _violating_xi(d, p):
-    """A direction on which the pointwise condition fails at exponent p."""
-    s = 2.0 * math.sqrt(p - 1.0)
-    t = p - 2.0
-    best = None
-    for sign in (1.0, -1.0):
-        vals, V = jacobi_eigh(s * d.S_r + sign * t * d.S_i)
-        if best is None or vals[0] < best[0]:
-            best = (vals[0], V[:, 0])
-    xi = best[1]
-    lead = next((v for v in xi if v != 0.0), 1.0)
-    if lead < 0.0:
-        xi = -xi
-    return xi.tolist()
 
 
 def _canonical_bump(grid, domain):
@@ -163,7 +136,7 @@ def _cmd_check(args):
     if bad is not None:
         witness = {
             "node": [float(v) for v in pts[bad]],
-            "xi": _violating_xi(decompose(sam.A[bad]), p),
+            "xi": violating_direction(decompose(sam.A[bad]), p).tolist(),
         }
     report = Report(
         command="check",
@@ -248,34 +221,20 @@ def _cmd_sufficiency(args):
     spec, digest = _load(args.spec)
     p = _require_p(args.p)
     sam, pts = _field_samples(spec)
-    nodes = sam.A.shape[0]
-    all_ok = True
-    min_eig = math.inf
-    max_res = 0.0
-    min_val = math.inf
-    witness = None
-    for j in range(nodes):
-        q = q_sufficiency(
-            sam.A[j], sam.b[j], sam.c[j], sam.a[j],
-            sam.div_b[j], sam.div_c[j], p, args.alpha, args.beta,
-        )
-        min_eig = min(min_eig, q.min_eig)
-        max_res = max(max_res, q.linear_residual)
-        if q.min_value is not None:
-            min_val = min(min_val, q.min_value)
-        if not q.ok and all_ok:
-            all_ok = False
-            witness = {"node": [float(v) for v in pts[j]]}
+    q = q_sufficiency(sam.A, sam.b, sam.c, sam.a, sam.div_b, sam.div_c, p, args.alpha, args.beta)
+    bad = int(np.argmin(q.ok))
+    witness = None if q.ok[bad] else {"node": [float(v) for v in pts[bad]]}
     report = Report(
         command="sufficiency",
         spec=digest,
         inputs={"p": p, "alpha": float(args.alpha), "beta": float(args.beta)},
-        verdict={"decision": all_ok, "criterion": "q_sufficient"},
+        verdict={"decision": witness is None, "criterion": "q_sufficient"},
         numbers={
-            "nodes": int(nodes),
-            "min_eigenvalue": min_eig,
-            "max_linear_residual": max_res,
-            "min_value": None if min_val is math.inf else min_val,
+            "nodes": int(sam.A.shape[0]),
+            # the first of equal minima, so that -0.0 and 0.0 keep node order
+            "min_eigenvalue": float(q.min_eig[np.argmin(q.min_eig)]),
+            "max_linear_residual": float(np.fmax.reduce(q.linear_residual, initial=0.0)),
+            "min_value": float(q.min_value[np.argmin(q.min_value)]),
         },
         witness=witness,
     )
@@ -367,20 +326,11 @@ def _example_skew_field(spec, digest):
         holds, _ = _condition_everywhere(sam, p)
         numbers[f"condition_p{p:g}"] = holds
         all_hold = all_hold and holds
-    nodes = sam.A.shape[0]
-    suff_ok = True
-    for j in range(nodes):
-        q = q_sufficiency(
-            sam.A[j], sam.b[j], sam.c[j], sam.a[j],
-            sam.div_b[j], sam.div_c[j], 2.0,
-        )
-        if not q.ok:
-            suff_ok = False
-            break
+    q = q_sufficiency(sam.A, sam.b, sam.c, sam.a, sam.div_b, sam.div_c, 2.0)
     fr = falsify(spec, 2.0, budget=600, seed=0)
     numbers.update(
         {
-            "sufficiency_p2": suff_ok,
+            "sufficiency_p2": bool(q.ok.all()),
             "falsify_found": fr.found,
             "falsify_value": fr.value,
             "falsify_evaluations": int(fr.evaluations),

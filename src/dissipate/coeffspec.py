@@ -45,6 +45,7 @@ __all__ = [
     "bump",
     "ComplexField",
     "OperatorSpec",
+    "load_doc",
     "load_spec",
     "spec_from_dict",
     "SampledOperator",
@@ -620,15 +621,23 @@ def spec_from_dict(doc, path="$"):
     return spec
 
 
-def load_spec(path):
-    """Read and validate an operator document from a JSON file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def load_doc(path):
+    """The decoded JSON document of a file; SpecError when the file cannot
+    be read or is not valid JSON."""
     try:
-        doc = json.loads(raw)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as err:
+        raise SpecError("$", f"cannot read spec: {err}") from err
+    try:
+        return json.loads(raw)
     except json.JSONDecodeError as err:
         raise SpecError("$", f"not valid JSON: {err}") from err
-    return spec_from_dict(doc)
+
+
+def load_spec(path):
+    """Read and validate an operator document from a JSON file."""
+    return spec_from_dict(load_doc(path))
 
 
 # ----------------------------------------------------------------------

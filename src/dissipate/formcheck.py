@@ -39,6 +39,7 @@ import numpy as np
 
 from .coeffspec import sample_operator
 from .grids import Grid, GridFunction
+from .pointwise import _validate_p
 from .semigroup import discretize
 
 MASK_EPS = 1e-12   # relative modulus threshold for the direction split
@@ -57,12 +58,6 @@ __all__ = [
     "FalsifyResult",
     "falsify",
 ]
-
-
-def _validate_p(p):
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 1.0:
-        raise ValueError(f"exponent p must be finite and > 1, got {p!r}")
-    return float(p)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Pointwise algebra on sampled coefficient matrices.
 
 The matrices are n-by-n with n small.  ``decompose``, ``jacobi_eigh``,
-``min_eigenvalue``, ``trace_norm``, ``p_condition_nodes`` and
-``lambda_nodes`` accept a stack of them, shape (..., n, n), one matrix
-per grid node: every LAPACK call covers the whole stack, and each
-matrix sees exactly the arithmetic it would see on its own.
+``min_eigenvalue``, ``trace_norm``, ``psd_pinv_apply``,
+``p_condition_nodes``, ``lambda_nodes`` and ``q_sufficiency`` accept a
+stack of them, shape (..., n, n), one matrix per grid node: every LAPACK
+call covers the whole stack, and each matrix sees exactly the arithmetic
+it would see on its own.
 ``check_p_condition`` and ``lambda_of`` run the node kernels on a
 single matrix; ``lambda_of`` also reduces a stack to its smallest ratio.
 
@@ -54,6 +55,7 @@ __all__ = [
     "psd_pinv_apply",
     "p_condition_nodes",
     "check_p_condition",
+    "violating_direction",
     "NonnegativityError",
     "lambda_nodes",
     "lambda_of",
@@ -133,8 +135,18 @@ def jacobi_eigh(S, vectors=True):
 
 
 def _per_matrix(x):
-    """A float for a single matrix, the array for a stack."""
-    return float(x) if x.ndim == 0 else x
+    """A Python scalar for a single matrix, the array for a stack."""
+    return x.item() if x.ndim == 0 else x
+
+
+def _matvec(M, v):
+    """M @ v, matrix by matrix over a stack of vectors v of shape (..., n)."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _dot(x, y):
+    """<x, y> over the last axis, as the BLAS dot of ``x @ y`` on one pair."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def min_eigenvalue(S):
@@ -153,13 +165,19 @@ def trace_norm(S):
 
 def psd_pinv_apply(S, rhs):
     """Least-squares solve S x = rhs for symmetric S via the
-    eigendecomposition pseudo-inverse.  Returns (x, residual_norm)."""
+    eigendecomposition pseudo-inverse, for one matrix or matrix by matrix
+    over a stack: S of shape (..., n, n), rhs of shape (..., n).
+
+    Returns (x, residual_norm): x has the shape of rhs, and the norm of
+    S x - rhs is a float for a single matrix and an array of the stack's
+    shape otherwise.
+    """
     w, V = jacobi_eigh(S, vectors=True)
-    cutoff = RANK_TOL * max(np.abs(w).max(initial=0.0), 1e-300)
-    inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    x = V @ (inv * (V.T @ rhs))
-    residual = float(np.linalg.norm(S @ x - rhs))
-    return x, residual
+    cutoff = RANK_TOL * np.maximum(np.abs(w).max(axis=-1, initial=0.0), 1e-300)
+    inv = np.where(np.abs(w) > cutoff[..., None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    x = _matvec(V, inv * _matvec(V.swapaxes(-1, -2), rhs))
+    r = _matvec(S, x) - rhs
+    return x, _per_matrix(np.sqrt(_dot(r, r)))
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +214,26 @@ def check_p_condition(d, p):
     """True iff |p-2| |<Im A xi,xi>| <= 2 sqrt(p-1) <Re A xi,xi> for all xi
     (``p_condition_nodes`` on a single matrix)."""
     return bool(p_condition_nodes(d, p))
+
+
+def _lower_pencil_direction(S, step):
+    """Lowest eigenvector of whichever of S + step and S - step has the
+    lower smallest eigenvalue (S + step on a tie)."""
+    w, V = jacobi_eigh(np.stack((S + step, S - step)))
+    return V[0, :, 0] if w[0, 0] <= w[1, 0] else V[1, :, 0]
+
+
+def violating_direction(d, p):
+    """A direction xi of the single matrix d on which the p-condition
+    fails when it fails: the lowest eigenvector of the lower pencil
+    2 sqrt(p-1) S_r +- (p-2) S_i, signed so that its first nonzero entry
+    is positive."""
+    p = _validate_p(p)
+    xi = _lower_pencil_direction(2.0 * math.sqrt(p - 1.0) * d.S_r, (p - 2.0) * d.S_i)
+    lead = np.flatnonzero(xi)
+    if lead.size and xi[lead[0]] < 0.0:
+        xi = -xi
+    return xi
 
 
 class NonnegativityError(ValueError):
@@ -264,8 +302,7 @@ def lambda_nodes(d):
 def _pinch_direction(S_r, S_i, t):
     """Lowest eigenvector of whichever pencil S_r +- t S_i is lower,
     signed so that its largest entry is positive."""
-    w, V = jacobi_eigh(np.stack((S_r + t * S_i, S_r - t * S_i)))
-    xi = V[0, :, 0] if w[0, 0] <= w[1, 0] else V[1, :, 0]
+    xi = _lower_pencil_direction(S_r, t * S_i)
     k = int(np.argmax(np.abs(xi)))
     if xi[k] < 0:
         xi = -xi
@@ -344,13 +381,18 @@ class QSufficiency:
 
     ok is true when the polynomial is nonnegative on all of R^{2n}:
     coefficient matrix PSD, linear part in its range, and the completed
-    square leaves a nonnegative constant.
+    square leaves a nonnegative constant.  For one matrix the fields are
+    a Python bool and floats; for a stack of nodes, ok, min_eig,
+    linear_residual and min_value are arrays of the stack's shape, one
+    value per node.  linear_residual is NaN and min_value -inf where the
+    matrix is not PSD; min_value is -inf where the linear part escapes
+    the range.
     """
 
-    ok: bool
-    min_eig: float
-    linear_residual: float
-    min_value: float
+    ok: bool | np.ndarray
+    min_eig: float | np.ndarray
+    linear_residual: float | np.ndarray
+    min_value: float | np.ndarray
     p: float
     alpha: float
     beta: float
@@ -364,51 +406,43 @@ def q_sufficiency(A, b, c, a, div_b, div_c, p, alpha=0.0, beta=0.0):
           + <Im(b + c), eta> - 2 <Re(alpha b / p - beta c / p'), xi>
           + Re(div(b) (1-alpha)/p - div(c) (1-beta)/p' - a)       >= 0
 
-    over all real (xi, eta).  A nonnegative quadratic-plus-linear form is
+    over all real (xi, eta), at one node or at every node of a stack:
+    A of shape (..., n, n), b and c of shape (..., n), and a, div_b and
+    div_c of shape (...).  A nonnegative quadratic-plus-linear form is
     certified by eigenvalue checks and a pseudo-inverse completed square.
     """
     p = _validate_p(p)
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    b = np.asarray(b, dtype=complex).reshape(n)
-    c = np.asarray(c, dtype=complex).reshape(n)
+    n = A.shape[-1]
+    b = np.asarray(b, dtype=complex).reshape(A.shape[:-1])
+    c = np.asarray(c, dtype=complex).reshape(A.shape[:-1])
     pp = p / (p - 1.0)  # conjugate exponent
     d = decompose(A)
 
     # quadratic coefficient matrix M on (xi, eta): value form z^T M z
-    G = A.imag / p - A.imag.T / pp
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = (4.0 / (p * pp)) * d.S_r
-    M[n:, n:] = d.S_r
-    M[:n, n:] = G.T
-    M[n:, :n] = G
+    im = A.imag
+    G = im / p - im.swapaxes(-1, -2) / pp
+    M = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, :n] = (4.0 / (p * pp)) * d.S_r
+    M[..., n:, n:] = d.S_r
+    M[..., :n, n:] = G.swapaxes(-1, -2)
+    M[..., n:, :n] = G
 
-    ell = np.zeros(2 * n)
-    ell[:n] = -2.0 * (alpha * b.real / p - beta * c.real / pp)
-    ell[n:] = (b + c).imag
+    ell = np.concatenate((-2.0 * (alpha * b.real / p - beta * c.real / pp), (b + c).imag), axis=-1)
+    const = np.real(div_b) * (1.0 - alpha) / p - np.real(div_c) * (1.0 - beta) / pp - np.real(a)
 
-    const = float(
-        (complex(div_b) * (1.0 - alpha) / p
-         - complex(div_c) * (1.0 - beta) / pp
-         - complex(a)).real
-    )
-
-    scale = 1.0 + trace_norm(M)
-    tol = TOL_PSD * scale
-    w_min = min_eigenvalue(M)
-    if w_min < -tol:
-        return QSufficiency(False, w_min, math.nan, -math.inf, p, alpha, beta)
-
+    w, _ = jacobi_eigh(M, vectors=False)
+    w_min = w[..., 0]
+    psd = w_min >= -TOL_PSD * (1.0 + np.abs(w).sum(axis=-1))
     z, residual = psd_pinv_apply(M, -0.5 * ell)
-    lin_tol = TOL_SYS * (1.0 + float(np.linalg.norm(ell)))
-    if residual > lin_tol:
-        # linear part escapes the range of M: unbounded below
-        return QSufficiency(False, w_min, residual, -math.inf, p, alpha, beta)
-
-    min_value = const + 0.5 * float(ell @ z)  # = const - (1/4) <M^+ ell, ell>
-    val_tol = TOL_PSD * (1.0 + abs(const) + float(np.linalg.norm(ell)) ** 2)
-    ok = min_value >= -val_tol
-    return QSufficiency(ok, w_min, residual, min_value, p, alpha, beta)
+    ell_norm = np.sqrt(_dot(ell, ell))
+    # a linear part escaping the range of M leaves the form unbounded below
+    bounded = psd & ~(residual > TOL_SYS * (1.0 + ell_norm))
+    # const + (1/2) <ell, z> = const - (1/4) <M^+ ell, ell>
+    min_value = np.where(bounded, const + 0.5 * _dot(ell, z), -math.inf)
+    ok = min_value >= -TOL_PSD * (1.0 + np.abs(const) + ell_norm ** 2)
+    per_node = (ok, w_min, np.where(psd, residual, math.nan), min_value)
+    return QSufficiency(*map(_per_matrix, per_node), p, alpha, beta)
 
 
 # ----------------------------------------------------------------------

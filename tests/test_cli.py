@@ -1,12 +1,13 @@
 """CLI surface: subcommands, exit codes, rendering, golden reports."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from dissipate import Grid, decompose, p_interval, sample_operator, spec_from_dict
+from dissipate import Grid, decompose, p_interval, q_sufficiency, sample_operator, spec_from_dict
 from dissipate.cli import _build_parser
 
 from conftest import (
@@ -333,6 +334,48 @@ class TestSufficiency:
         assert payload["inputs"]["alpha"] == 0.5
         assert payload["inputs"]["beta"] == 0.25
         assert payload["verdict"]["decision"] is True
+
+
+    @pytest.mark.parametrize("im12", ["3*x1^2", "0.5*x1^2"])
+    def test_field_with_lower_order_terms_matches_a_per_node_loop(self, tmp_path, im12):
+        # with the larger Im A entry some matrices are not PSD; with the
+        # smaller one every node has a finite minimum, some negative
+        doc = {
+            "n": 2,
+            "domain": [[0.0, 1.0], [0.0, 1.0]],
+            "grid": [10, 10],
+            "A": [[{"re": "1+x2"}, {"im": im12}], [{"im": "0.2"}, {"re": "1"}]],
+            "b": [{"re": "x1", "im": "0.5*x2"}, {"im": "-0.3"}],
+            "c": [{"re": "0.2"}, {"im": "x1*x2"}],
+            "a": {"re": "2*x2 - 1.5", "im": "1"},
+        }
+        path = tmp_path / "lower_order.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        spec = spec_from_dict(doc)
+        pts = Grid.from_spec(spec).points()
+        sam = sample_operator(spec, pts)
+        qs = [
+            q_sufficiency(sam.A[j], sam.b[j], sam.c[j], sam.a[j], sam.div_b[j], sam.div_c[j], 3.0, 0.5, 0.25)
+            for j in range(len(pts))
+        ]
+        ok = [q.ok for q in qs]
+        first = ok.index(False)
+        assert first > 0 and sum(ok) > len(ok) // 2
+        assert any(not q.ok and q.min_value > -math.inf for q in qs)
+        min_value = min(q.min_value for q in qs)
+        assert (min_value == -math.inf) == (im12 == "3*x1^2")
+        payload = json_out(
+            "sufficiency", str(path), "--p", "3", "--alpha", "0.5", "--beta", "0.25", "--format", "json",
+        )
+        assert payload["verdict"]["decision"] is False
+        assert payload["witness"]["node"] == pts[first].tolist()
+        numbers = payload["numbers"]
+        assert numbers["nodes"] == len(pts)
+        assert numbers["min_eigenvalue"] == min(q.min_eig for q in qs)
+        assert numbers["max_linear_residual"] == max(
+            [0.0] + [q.linear_residual for q in qs if not math.isnan(q.linear_residual)]
+        )
+        assert numbers["min_value"] == ("-inf" if min_value == -math.inf else min_value)
 
 
 class TestFalsify:

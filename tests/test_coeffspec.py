@@ -1,5 +1,6 @@
 """Expression grammar, operator documents, and coefficient sampling."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from dissipate import (
     ExprError,
     SpecError,
     bump,
+    load_spec,
     sample_operator,
     spec_from_dict,
 )
@@ -220,6 +222,24 @@ class TestBump:
 
 
 class TestDocumentValidation:
+    def test_load_spec_reads_a_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(minimal_doc()), encoding="ascii")
+        assert load_spec(path) == spec_from_dict(minimal_doc())
+
+    def test_load_spec_reports_an_unreadable_file_as_a_spec_error(self, tmp_path):
+        with pytest.raises(SpecError, match="cannot read spec") as exc:
+            load_spec(tmp_path / "missing.json")
+        assert exc.value.path == "$"
+        with pytest.raises(SpecError, match="cannot read spec"):
+            load_spec(tmp_path)  # a directory
+
+    def test_load_spec_reports_invalid_json_as_a_spec_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json", encoding="ascii")
+        with pytest.raises(SpecError, match="not valid JSON"):
+            load_spec(path)
+
     def test_minimal_document_loads(self):
         spec = spec_from_dict(minimal_doc())
         assert spec.n == 1

@@ -16,7 +16,13 @@ from dissipate import (
     p_interval,
     q_sufficiency,
 )
-from dissipate.pointwise import lambda_nodes, p_condition_nodes, trace_norm
+from dissipate.pointwise import (
+    lambda_nodes,
+    p_condition_nodes,
+    psd_pinv_apply,
+    trace_norm,
+    violating_direction,
+)
 
 from conftest import (
     lam_bracket_oracle,
@@ -132,6 +138,21 @@ class TestJacobi:
         assert type(trace_norm(S)) is float
         assert trace_norm(np.stack((S, -S))).tolist() == [4.0, 4.0]
 
+    def test_pseudo_inverse_of_a_stack_equals_the_matrices_one_by_one(self):
+        rng = np.random.default_rng(48)
+        G = rng.normal(size=(5, 3, 3))
+        G[::2, :, 0] = 0.0  # rank deficient, with rhs outside the range
+        S = G @ G.swapaxes(-1, -2)
+        rhs = rng.normal(size=(5, 3))
+        x, res = psd_pinv_apply(S, rhs)
+        assert x.shape == (5, 3) and res.shape == (5,)
+        for j in range(5):
+            xj, rj = psd_pinv_apply(S[j], rhs[j])
+            assert type(rj) is float
+            assert np.array_equal(x[j], xj)
+            assert res[j] == rj
+        assert (res[::2] > 1e-8).all() and (res[1::2] < 1e-8).all()
+
     def test_min_eigenvalue_closed_form(self):
         S = 2.0 * SQ2 * np.eye(2) - np.array([[0.0, 1.0], [1.0, 0.0]])
         assert min_eigenvalue(S) == pytest.approx(2.0 * SQ2 - 1.0, abs=1e-12)
@@ -162,6 +183,18 @@ class TestPCondition:
             check_p_condition(d, 1.0)
         with pytest.raises(ValueError):
             check_p_condition(d, math.inf)
+
+    def test_violating_direction_is_a_failing_direction(self):
+        for A in seeded_matrices(count=60, seed=9, allow_zero_im=False):
+            d = decompose(A)
+            for p in (1.05, 1.3, 4.0, 20.0):
+                if check_p_condition(d, p):
+                    continue
+                xi = violating_direction(d, p)
+                assert xi[np.flatnonzero(xi)[0]] > 0.0
+                re = xi @ d.S_r @ xi
+                im = xi @ d.S_i @ xi
+                assert abs(p - 2.0) * abs(im) > 2.0 * math.sqrt(p - 1.0) * re
 
     def test_self_dual_in_the_exponent(self):
         # same verdict for (A, p) and (A conjugate transposed, p/(p-1))
@@ -398,6 +431,63 @@ class TestQSufficiency:
         bad = q_sufficiency(A, np.zeros(2), np.zeros(2), 2.0, 0.0, 0.0, 3.0)
         assert good.ok and good.min_value == pytest.approx(2.0)
         assert not bad.ok and bad.min_value == pytest.approx(-2.0)
+
+    @staticmethod
+    def clause_nodes(rng):
+        """A shuffled stack of 2x2 nodes: some pass, and some fail each
+        clause (M not PSD, linear part outside the range of M, negative
+        completed square), among seeded random nodes."""
+        m = 24
+        G = rng.normal(size=(m, 2, 2))
+        A = G @ G.swapaxes(-1, -2) + 0.1 * np.eye(2) + 1j * rng.normal(size=(m, 2, 2)) * rng.uniform(0.0, 1.5, (m, 1, 1))
+        b = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+        c = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+        a = rng.normal(size=m) + 1j * rng.normal(size=m) - 2.0
+        div_b = rng.normal(size=m) + 1j * rng.normal(size=m)
+        div_c = rng.normal(size=m) + 1j * rng.normal(size=m)
+        zero = np.zeros(2)
+        # passing, not PSD, linear part escaping the range, negative value
+        A[:4] = [np.eye(2), skew2(3.0), np.diag([1.0, 0.0]), np.eye(2)]
+        b[:4] = [zero, zero, [0.0, 2.0j], zero]
+        c[:4] = zero
+        a[:4] = [-2.0, 0.0, 0.0, 2.0]
+        div_b[:4] = div_c[:4] = 0.0
+        order = rng.permutation(m)
+        return tuple(x[order] for x in (A, b, c, a, div_b, div_c))
+
+    @pytest.mark.parametrize("p,alpha,beta", [(1.5, 0.0, 0.0), (2.0, 0.5, 0.25), (4.0, 1.5, 2.0)])
+    def test_a_stack_equals_the_nodes_one_by_one(self, p, alpha, beta):
+        nodes = self.clause_nodes(np.random.default_rng(int(10 * p)))
+        q = q_sufficiency(*nodes, p, alpha, beta)
+        singles = [q_sufficiency(*(x[j] for x in nodes), p, alpha, beta) for j in range(len(nodes[0]))]
+        assert q.ok.tolist() == [s.ok for s in singles]
+        assert q.min_eig.tolist() == [s.min_eig for s in singles]
+        assert q.min_value.tolist() == [s.min_value for s in singles]
+        # NaN where M is not PSD, equal to each other there too
+        np.testing.assert_array_equal(q.linear_residual, [s.linear_residual for s in singles])
+        not_psd = np.isnan(q.linear_residual)
+        escaped = ~not_psd & (q.min_value == -math.inf)
+        negative = ~q.ok & np.isfinite(q.min_value)
+        assert q.ok.any() and not_psd.any() and escaped.any() and negative.any()
+        assert (q.min_eig[not_psd] < 0.0).all() and (q.linear_residual[escaped] > 1e-8).all()
+
+    def test_stack_shape_is_kept(self):
+        A, b, c, a, div_b, div_c = self.clause_nodes(np.random.default_rng(3))
+        flat = q_sufficiency(A, b, c, a, div_b, div_c, 3.0)
+        q = q_sufficiency(
+            A.reshape(4, 6, 2, 2), b.reshape(4, 6, 2), c.reshape(4, 6, 2),
+            a.reshape(4, 6), div_b.reshape(4, 6), div_c.reshape(4, 6), 3.0,
+        )
+        for name in ("ok", "min_eig", "linear_residual", "min_value"):
+            assert getattr(q, name).shape == (4, 6)
+            np.testing.assert_array_equal(getattr(q, name).reshape(-1), getattr(flat, name))
+
+    def test_a_single_matrix_returns_python_scalars(self):
+        zero = np.zeros(2)
+        for A in (np.eye(2), skew2(3.0)):
+            res = q_sufficiency(A, zero, zero, -1.0, 0.0, 0.0, 3.0)
+            assert type(res.ok) is bool
+            assert all(type(v) is float for v in (res.min_eig, res.linear_residual, res.min_value))
 
 
 class TestConstantVerdict:
