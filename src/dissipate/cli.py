@@ -14,9 +14,7 @@ Subcommands::
 Exit codes: 0 analysis completed (whatever the verdict), 1 verdict "not
 dissipative" under ``check --strict``, 2 input error.  Reports echo the
 normalized inputs and a content digest of the operator document, never
-file paths, so output is byte-stable across checkouts.  The environment
-variable DISSIPATE_WORKERS caps falsifier concurrency (the result is
-identical for any worker count; only wall time changes).
+file paths, so output is byte-stable across checkouts.
 """
 
 from __future__ import annotations

@@ -524,28 +524,28 @@ class OperatorSpec:
         return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.domain))
 
 
-def spec_from_dict(doc, path="$"):
+def spec_from_dict(doc):
     """Validate a parsed JSON document into an OperatorSpec."""
     if not isinstance(doc, dict):
-        raise SpecError(path, "top level must be an object")
+        raise SpecError("$", "top level must be an object")
     known = {"n", "domain", "grid", "A", "b", "c", "a"}
     extra = set(doc) - known
     if extra:
-        raise SpecError(path, f"unknown keys {sorted(extra)}")
+        raise SpecError("$", f"unknown keys {sorted(extra)}")
     for key in ("n", "domain", "grid", "A"):
         if key not in doc:
-            raise SpecError(f"{path}.{key}", "missing required key")
+            raise SpecError(f"$.{key}", "missing required key")
 
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 3:
-        raise SpecError(f"{path}.n", "dimension must be an integer in 1..3")
+        raise SpecError("$.n", "dimension must be an integer in 1..3")
 
     dom = doc["domain"]
     if not isinstance(dom, list) or len(dom) != n:
-        raise SpecError(f"{path}.domain", f"expected {n} intervals")
+        raise SpecError("$.domain", f"expected {n} intervals")
     domain = []
     for k, pair in enumerate(dom):
-        p = f"{path}.domain[{k}]"
+        p = f"$.domain[{k}]"
         if (
             not isinstance(pair, list)
             or len(pair) != 2
@@ -559,22 +559,22 @@ def spec_from_dict(doc, path="$"):
 
     grd = doc["grid"]
     if not isinstance(grd, list) or len(grd) != n:
-        raise SpecError(f"{path}.grid", f"expected {n} node counts")
+        raise SpecError("$.grid", f"expected {n} node counts")
     grid = []
     for k, cnt in enumerate(grd):
         if not isinstance(cnt, int) or isinstance(cnt, bool) or cnt < 8:
-            raise SpecError(f"{path}.grid[{k}]", "node count must be an integer >= 8")
+            raise SpecError(f"$.grid[{k}]", "node count must be an integer >= 8")
         grid.append(cnt)
 
     amat = doc["A"]
     if not isinstance(amat, list) or len(amat) != n:
-        raise SpecError(f"{path}.A", f"expected {n} rows")
+        raise SpecError("$.A", f"expected {n} rows")
     rows = []
     for i, row in enumerate(amat):
         if not isinstance(row, list) or len(row) != n:
-            raise SpecError(f"{path}.A[{i}]", f"expected {n} entries")
+            raise SpecError(f"$.A[{i}]", f"expected {n} entries")
         rows.append(
-            tuple(_parse_entry(entry, f"{path}.A[{i}][{j}]") for j, entry in enumerate(row))
+            tuple(_parse_entry(entry, f"$.A[{i}][{j}]") for j, entry in enumerate(row))
         )
 
     def _vector(key):
@@ -582,15 +582,15 @@ def spec_from_dict(doc, path="$"):
             return tuple(ComplexField(_ZERO, _ZERO) for _ in range(n))
         vec = doc[key]
         if not isinstance(vec, list) or len(vec) != n:
-            raise SpecError(f"{path}.{key}", f"expected {n} entries")
+            raise SpecError(f"$.{key}", f"expected {n} entries")
         return tuple(
-            _parse_entry(entry, f"{path}.{key}[{k}]") for k, entry in enumerate(vec)
+            _parse_entry(entry, f"$.{key}[{k}]") for k, entry in enumerate(vec)
         )
 
     b = _vector("b")
     c = _vector("c")
     if "a" in doc:
-        a = _parse_entry(doc["a"], f"{path}.a")
+        a = _parse_entry(doc["a"], "$.a")
     else:
         a = ComplexField(_ZERO, _ZERO)
 
@@ -613,11 +613,11 @@ def spec_from_dict(doc, path="$"):
 
     for i in range(n):
         for j in range(n):
-            _check_vars(spec.A[i][j], f"{path}.A[{i}][{j}]")
+            _check_vars(spec.A[i][j], f"$.A[{i}][{j}]")
     for k in range(n):
-        _check_vars(spec.b[k], f"{path}.b[{k}]")
-        _check_vars(spec.c[k], f"{path}.c[{k}]")
-    _check_vars(spec.a, f"{path}.a")
+        _check_vars(spec.b[k], f"$.b[{k}]")
+        _check_vars(spec.c[k], f"$.c[{k}]")
+    _check_vars(spec.a, "$.a")
     return spec
 
 
@@ -650,7 +650,7 @@ class SampledOperator:
 
     Shapes: A (m,n,n) complex, b and c (m,n) complex, a (m,) complex,
     div_b and div_c (m,) complex.  Divergences use clipped central
-    differences with step ``h_fd`` (exact for constant fields).
+    differences (exact for constant fields).
     """
 
     points: np.ndarray
@@ -686,12 +686,12 @@ def _eval_field(field, xs, where):
     return vals
 
 
-def sample_operator(spec, points, h_fd=None):
+def sample_operator(spec, points):
     """Evaluate A, b, c, a and the divergences of b and c at the points.
 
     ``points`` is an (m, n) array inside the closed box.  The divergence
     stencil is clipped to the box, so one-sided differences are used next
-    to the boundary; the step defaults to 1e-5 times the box diameter.
+    to the boundary; the step is 1e-5 times the box diameter.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -699,8 +699,7 @@ def sample_operator(spec, points, h_fd=None):
     m, n = pts.shape
     if n != spec.n:
         raise ValueError(f"points have dimension {n}, spec has n = {spec.n}")
-    if h_fd is None:
-        h_fd = 1e-5 * spec.box_diameter()
+    h_fd = 1e-5 * spec.box_diameter()
 
     xs = tuple(pts[:, k] for k in range(n))
     A = np.empty((m, n, n), dtype=complex)

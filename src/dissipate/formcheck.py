@@ -25,19 +25,17 @@ pairs the assembled discrete operator with |u|^{p-2} u and should be
 minus ``form_direct`` up to the same discretization error.
 ``falsify`` hunts for a test function making the functional negative:
 three seeded families of structured probes plus a coordinate descent
-polish, reproducible for any worker count.
+polish, reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffspec import sample_operator
+from .coeffspec import bump, sample_operator
 from .grids import Grid, GridFunction
 from .pointwise import _validate_p
 from .semigroup import discretize
@@ -250,7 +248,6 @@ class FalsifyResult:
     witness: GridFunction | None
     p: float
     seed: int
-    workers: int
 
 
 _FAMILY_NAMES = {1: "log_spiral", 2: "plane_wave", 3: "wave_mix"}
@@ -258,8 +255,6 @@ _FAMILY_NAMES = {1: "log_spiral", 2: "plane_wave", 3: "wave_mix"}
 
 def _profile(meshes, box, terms):
     """Sum of positive separable bump terms: amp * prod bump((x-ctr)/rad)."""
-    from .coeffspec import bump
-
     rho = np.zeros_like(meshes[0])
     for amp, ctrs, rads in terms:
         piece = np.full_like(meshes[0], amp)
@@ -312,7 +307,7 @@ _DET_T_GRID = (1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0, 25.0, -25.0, 50.0, 
 _DET_MU_GRID = (0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
 
 
-def _make_starts(spec, p, budget, rng, box, n):
+def _make_starts(p, budget, rng, box, n):
     """Deterministic probe grid first, then seeded random starts."""
     canon = _canonical_terms(box)
     starts = []
@@ -430,43 +425,30 @@ def _unpack(family, params, vec, box):
     return out
 
 
-def falsify(spec, p, budget=2000, seed=0, workers=None, grid=None):
+def falsify(spec, p, budget=2000, seed=0):
     """Search for a grid function making the transformed functional negative.
 
     Probe families: (1) positive profile with logarithmic phase spirals,
     (2) profile times a plane wave exp(i t <k, x>), (3) profile times a
     small random wave mixture.  A deterministic probe grid runs first,
     then seeded random starts, then coordinate descent from the three
-    best candidates; results reduce by (value, family, start) so the
-    outcome is identical for any worker count.  "Found" means the best
-    value is below -TOL_NEG relative to the probe's H^1 size.
+    best candidates; ties in value go to the lower family, then the
+    earlier start.  Everything runs on the document's grid.  "Found"
+    means the best value is below -TOL_NEG relative to the probe's H^1
+    size.
     """
     p = _validate_p(p)
     if budget < 1:
         raise ValueError(f"evaluation budget must be at least 1, got {budget!r}")
-    if workers is None:
-        workers = int(os.environ.get("DISSIPATE_WORKERS", "1") or "1")
-    workers = max(1, workers)
-    if grid is None:
-        grid = Grid.from_spec(spec)
+    grid = Grid.from_spec(spec)
     box = list(zip(grid.lo, grid.hi))
     n = grid.n
     ev = FormEvaluator(spec, grid)
     meshes = grid.meshes()
     rng = np.random.default_rng(seed)
 
-    starts = _make_starts(spec, p, budget, rng, box, n)
-
-    def run_one(item):
-        fam, params = item
-        vals = _build_values(fam, params, meshes, box)
-        return ev.value(vals, p)
-
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(run_one, starts))
-    else:
-        values = [run_one(s) for s in starts]
+    starts = _make_starts(p, budget, rng, box, n)
+    values = [ev.value(_build_values(fam, params, meshes, box), p) for fam, params in starts]
     evaluations = len(starts)
 
     ranked = sorted(
@@ -478,8 +460,8 @@ def falsify(spec, p, budget=2000, seed=0, workers=None, grid=None):
     # coordinate descent from the best few starts
     descent_budget = budget - evaluations
     leaders = ranked[:3]
-    for pos, i in enumerate(leaders):
-        share = descent_budget // len(leaders) if leaders else 0
+    share = descent_budget // len(leaders)
+    for i in leaders:
         if share <= 0:
             break
         fam, params = starts[i]
@@ -529,5 +511,4 @@ def falsify(spec, p, budget=2000, seed=0, workers=None, grid=None):
         witness=GridFunction(grid, wit_vals),
         p=p,
         seed=seed,
-        workers=workers,
     )

@@ -93,11 +93,6 @@ class GridFunction:
             )
         self.values = vals
 
-    @classmethod
-    def from_callable(cls, grid, fn):
-        """Evaluate fn on the coordinate meshes (fn(*meshes) -> array)."""
-        return cls(grid, np.asarray(fn(*grid.meshes()), dtype=complex))
-
     def gradient(self):
         """Central differences per axis with the zero boundary extension.
 
@@ -116,6 +111,3 @@ class GridFunction:
             dn[k] = slice(0, -2)
             out[k] = (padded[tuple(up)] - padded[tuple(dn)]) / (2.0 * h[k])
         return out
-
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())

@@ -495,9 +495,10 @@ def constant_coeff_verdict(A, b, a, p):
     w, _ = jacobi_eigh(d.S_r, vectors=False)
     w = np.abs(np.asarray(w))
     if w.min() > RANK_TOL * max(w.max(), 1e-300):
-        # nonsingular: the closed form 4 Re a <= -<S_r^{-1} Im b, Im b>
-        y, _ = psd_pinv_apply(d.S_r, imb)
-        corollary = 4.0 * a.real + float(imb @ y)
+        # nonsingular: the closed form 4 Re a <= -<S_r^{-1} Im b, Im b>.
+        # psd_pinv_apply is linear and scaling by -0.5 is exact, so
+        # S_r^{-1} Im b is -2 V bit for bit and needs no second solve.
+        corollary = 4.0 * a.real - 2.0 * float(imb @ V)
     if margin > TOL_ZERO * (1.0 + abs(a.real) + abs(quad)):
         return ConstVerdict(False, "zero_order_positive", V, residual, margin, corollary)
     return ConstVerdict(True, None, V, residual, margin, corollary)

@@ -247,18 +247,18 @@ def evolve(op, u0, dt, t_end, p):
     return NormTrace(p=float(p), dt=float(dt), times=times, norms=norms)
 
 
-def estimate_omega(trace, window=10):
+def estimate_omega(trace):
     """Largest sliding-window slope of log ||u||, clamped at zero.
 
-    Windows hold ``window`` steps (window + 1 samples); shorter traces
-    use one window spanning the whole trace.  Traces that hit zero norm
-    give 0 (nothing left to grow).
+    Windows hold 10 steps (11 samples); shorter traces use one window
+    spanning the whole trace.  Traces that hit zero norm give 0 (nothing
+    left to grow).
     """
     norms = np.asarray(trace.norms)
     if trace.has_vanishing_norms or norms.size < 2:
         return 0.0
     y = np.log(norms)
-    m = min(window + 1, norms.size)
+    m = min(11, norms.size)
     w = np.arange(m) - (m - 1) / 2.0
     denom = float(w @ w) * trace.dt
     # sliding inner products of y with the centered ramp w

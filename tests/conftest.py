@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -28,28 +27,12 @@ def preset(name):
     return str(PRESET_DIR / f"{name}.json")
 
 
-def run_cli(*argv, env=None):
-    """Run the CLI in process; returns (exit code, stdout, stderr).
-
-    ``env`` entries are set for the duration of the call and restored
-    afterwards, which is how the worker-count knob is exercised.
-    """
-    saved = {}
-    if env:
-        for key, val in env.items():
-            saved[key] = os.environ.get(key)
-            os.environ[key] = val
+def run_cli(*argv):
+    """Run the CLI in process; returns (exit code, stdout, stderr)."""
     out = io.StringIO()
     err = io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli_main([str(a) for a in argv])
-    finally:
-        for key, val in saved.items():
-            if val is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = val
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main([str(a) for a in argv])
     return code, out.getvalue(), err.getvalue()
 
 

@@ -23,8 +23,8 @@ from conftest import (
 PAYLOAD_KEYS = ["command", "spec", "inputs", "verdict", "numbers", "witness", "notes", "timing"]
 
 
-def json_out(*argv, env=None):
-    code, out, err = run_cli(*argv, env=env)
+def json_out(*argv):
+    code, out, err = run_cli(*argv)
     assert code == 0, err
     return json.loads(out)
 
@@ -463,16 +463,10 @@ class TestGoldens:
 
     @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_report_bytes_are_stable(self, name, argv):
-        code, out, err = run_cli(*argv, env={"DISSIPATE_WORKERS": "1"})
+        code, out, err = run_cli(*argv)
         assert code == 0, err
         path = GOLDEN_DIR / name
         if os.environ.get("GOLDEN_BLESS") == "1":
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(out.encode("utf-8"))
         assert out.encode("utf-8") == path.read_bytes()
-
-    def test_worker_pool_does_not_change_the_bytes(self):
-        serial = run_cli("examples", "--id", "2", "--format", "json", env={"DISSIPATE_WORKERS": "1"})
-        pooled = run_cli("examples", "--id", "2", "--format", "json", env={"DISSIPATE_WORKERS": "4"})
-        assert serial[0] == pooled[0] == 0
-        assert serial[1] == pooled[1]

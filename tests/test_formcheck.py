@@ -278,22 +278,6 @@ class TestFalsifier:
         assert one.start_index == two.start_index
         assert one.params == two.params
 
-    def test_worker_count_does_not_change_the_result(self):
-        spec = spec_from_dict(load_preset("example2"))
-        serial = falsify(spec, 2.0, budget=900, seed=0, workers=1)
-        pooled = falsify(spec, 2.0, budget=900, seed=0, workers=4)
-        assert pooled.value == serial.value
-        assert pooled.evaluations == serial.evaluations
-        assert pooled.family == serial.family
-        assert pooled.start_index == serial.start_index
-        assert pooled.workers == 4
-
-    def test_worker_count_from_the_environment(self, monkeypatch):
-        monkeypatch.setenv("DISSIPATE_WORKERS", "3")
-        spec = spec_from_dict(load_preset("example1"))
-        res = falsify(spec, 2.0, budget=60, seed=0)
-        assert res.workers == 3
-
     def test_budget_caps_the_evaluation_count(self):
         spec = spec_from_dict(load_preset("example2"))
         res = falsify(spec, 2.0, budget=40, seed=0)

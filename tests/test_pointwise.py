@@ -534,6 +534,10 @@ class TestConstantVerdict:
             v = constant_coeff_verdict(A, b, a, 2.0)
             assert v.corollary_margin is not None
             assert v.corollary_margin == pytest.approx(4.0 * v.margin, abs=1e-9 * (1.0 + abs(v.margin)))
+            # the closed form through its own solve of S_r y = Im b
+            S_r = decompose(0.5 * (A + A.T)).S_r
+            y, _ = psd_pinv_apply(S_r, b.imag)
+            assert v.corollary_margin == 4.0 * a.real + float(b.imag @ y)
 
     def test_skew_real_part_is_immaterial(self):
         A = np.array([[2.0, 0.3], [0.3, 1.0]]) + 0j
