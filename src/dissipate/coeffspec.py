@@ -189,9 +189,9 @@ class Call:
 def bump(r):
     """C^2 compactly supported profile exp(-1/(1-r^2)) on |r| < 1, else 0."""
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
+    out = np.zeros(r.shape)
     inside = np.abs(r) < 1.0
-    if np.any(inside):
+    if inside.any():
         ri = r[inside]
         out[inside] = np.exp(-1.0 / (1.0 - ri * ri))
     if out.ndim == 0:

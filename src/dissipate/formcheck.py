@@ -17,7 +17,12 @@ Two routes to the same number:
         + Re(div(b)/p - div(c)/p' - a) |v|^2
 
   with grad|v| taken as the real part X of the split and the singular
-  middle terms dropped on nodes where |v| falls below the mask.
+  middle terms dropped on nodes where |v| falls below the mask.  At
+  p = 2 both middle terms vanish, so no split is built.
+
+``FormEvaluator`` samples the coefficients once per grid and keeps A
+and A - A* node last, as (n, n, m) arrays, so that each quadratic form
+is one einsum whose inner loop runs over the m nodes.
 
 ``equivalence_gap`` measures how far the two routes drift apart for a
 given u (it vanishes like h^2 for smooth data).  ``operator_form``
@@ -80,12 +85,15 @@ class GradientSplit:
 
 def gradient_split(v):
     """Build the GradientSplit of a GridFunction (flattened node order)."""
-    g = v.gradient().reshape(v.grid.n, -1)
-    flat = v.values.reshape(-1)
+    return _split(v.values.reshape(-1), v.gradient().reshape(v.grid.n, -1))
+
+
+def _split(flat, g):
+    """GradientSplit of the flattened values given their gradient (n, m)."""
     absv = np.abs(flat)
     vmax = absv.max(initial=0.0)
     unmasked = absv > MASK_EPS * vmax
-    phase = np.zeros_like(flat)
+    phase = np.zeros(flat.shape, dtype=complex)
     np.divide(flat.conj(), absv, out=phase, where=unmasked)
     w = phase[None, :] * g
     X = np.where(unmasked[None, :], w.real, 0.0)
@@ -100,42 +108,61 @@ def gradient_split(v):
 class FormEvaluator:
     """Coefficients of a spec sampled once on a grid, reusable across
     many functional evaluations (the falsifier calls value() thousands
-    of times)."""
+    of times).
+
+    ``A`` and ``A - A*`` are stored node last, as C-contiguous (n, n, m)
+    arrays, so each quadratic form is one einsum whose inner loop runs
+    over the nodes.  The zero order factor depends on p only and is
+    kept per exponent.
+    """
 
     def __init__(self, spec, grid):
         self.spec = spec
         self.grid = grid
         self.sam = sample_operator(spec, grid.points())
-        # (m,n,n) -> kept as is; einsum handles the layout
-        self.A = self.sam.A
-        self.A_minus_star = self.A - self.A.conj().transpose(0, 2, 1)
+        self.A = np.ascontiguousarray(self.sam.A.transpose(1, 2, 0))
+        self.A_minus_star = self.A - self.A.conj().transpose(1, 0, 2)
         self.im_bc = (self.sam.b + self.sam.c).imag.T  # (n, m)
         self.has_im_bc = bool(np.any(self.im_bc != 0.0))
+        self._zero_order = {}
+
+    def _zero_order_factor(self, p):
+        """Re(div b/p - div c/p' - a) per node, or None where it vanishes."""
+        if p not in self._zero_order:
+            pc = p / (p - 1.0)
+            zer = (self.sam.div_b / p - self.sam.div_c / pc - self.sam.a).real
+            self._zero_order[p] = zer if np.any(zer != 0.0) else None
+        return self._zero_order[p]
 
     def value(self, values, p):
-        """The transformed functional at grid values (any matching shape)."""
+        """The transformed functional at grid values (any matching shape).
+
+        At p = 2 the middle terms vanish and only the gradient is taken;
+        otherwise the modulus direction split is built from that same
+        gradient.
+        """
         p = _validate_p(p)
-        pc = p / (p - 1.0)
         gamma = 1.0 - 2.0 / p
         v = GridFunction(self.grid, np.asarray(values).reshape(self.grid.shape))
-        sp = gradient_split(v)
-        g = sp.grad
+        g = v.gradient().reshape(self.grid.n, -1)
         flat = v.values.reshape(-1)
 
-        total = np.einsum("jhk,kj,hj->j", self.A, g, g.conj()).real
+        total = np.einsum("hkj,kj,hj->j", self.A, g, g.conj()).real
         if gamma != 0.0:
+            sp = _split(flat, g)
+            xc = sp.X + 0j
             zc = (sp.X - 1j * sp.Y)  # conj(X + iY)
             total = total - gamma * np.einsum(
-                "jhk,kj,hj->j", self.A_minus_star, sp.X + 0j, zc
+                "hkj,kj,hj->j", self.A_minus_star, xc, zc
             ).real
             total = total - gamma * gamma * np.einsum(
-                "jhk,kj,hj->j", self.A, sp.X + 0j, sp.X + 0j
+                "hkj,kj,hj->j", self.A, xc, xc
             ).real
         if self.has_im_bc:
             imvg = (flat.conj()[None, :] * g).imag
             total = total + np.einsum("kj,kj->j", self.im_bc, imvg)
-        zer = (self.sam.div_b / p - self.sam.div_c / pc - self.sam.a).real
-        if np.any(zer != 0.0):
+        zer = self._zero_order_factor(p)
+        if zer is not None:
             total = total + zer * (flat.real ** 2 + flat.imag ** 2)
         return float(total.sum() * self.grid.weight)
 
@@ -253,15 +280,31 @@ class FalsifyResult:
 _FAMILY_NAMES = {1: "log_spiral", 2: "plane_wave", 3: "wave_mix"}
 
 
-def _profile(meshes, box, terms):
-    """Sum of positive separable bump terms: amp * prod bump((x-ctr)/rad)."""
-    rho = np.zeros_like(meshes[0])
+def _profile(axes, terms):
+    """Sum of positive separable bump terms: amp * prod bump((x-ctr)/rad).
+
+    ``axes`` holds each axis's node coordinates shaped to broadcast
+    along that axis (see ``_broadcast_axes``): the bumps are taken per
+    axis and multiplied out in axis order, which gives the same numbers
+    as taking them on the full coordinate meshes.
+    """
+    rho = np.zeros(tuple(ax.size for ax in axes))
     for amp, ctrs, rads in terms:
-        piece = np.full_like(meshes[0], amp)
-        for k, mesh in enumerate(meshes):
-            piece = piece * bump((mesh - ctrs[k]) / rads[k])
+        piece = amp
+        for k, ax in enumerate(axes):
+            piece = piece * bump((ax - ctrs[k]) / rads[k])
         rho = rho + piece
     return rho
+
+
+def _broadcast_axes(grid):
+    """Node coordinates per axis, axis k shaped (1, .., N_k, .., 1)."""
+    axes = []
+    for k in range(grid.n):
+        shape = [1] * grid.n
+        shape[k] = grid.shape[k]
+        axes.append(grid.axis(k).reshape(shape))
+    return axes
 
 
 def _canonical_terms(box):
@@ -270,26 +313,27 @@ def _canonical_terms(box):
     return ((1.0, ctrs, rads),)
 
 
-def _build_values(family, params, meshes, box):
-    rho = _profile(meshes, box, params["terms"])
+def _build_values(family, params, axes):
+    rho = _profile(axes, params["terms"])
     if family == 1:
         mu = params["mu"]
         eps = params["eps"]
         return rho * np.exp(0.5j * mu * np.log(rho * rho + eps))
     if family == 2:
-        phase = np.zeros_like(meshes[0])
-        for k, comp in enumerate(params["k"]):
-            if comp:
-                phase = phase + comp * meshes[k]
-        return rho * np.exp(1j * params["t"] * phase)
-    parts = np.full_like(meshes[0], params["c0_re"] + 1j * params["c0_im"], dtype=complex)
+        return rho * np.exp(1j * params["t"] * _phase(params["k"], axes, rho.shape))
+    parts = np.full(rho.shape, params["c0_re"] + 1j * params["c0_im"], dtype=complex)
     for c_re, c_im, t, kvec in params["waves"]:
-        phase = np.zeros_like(meshes[0])
-        for k, comp in enumerate(kvec):
-            if comp:
-                phase = phase + comp * meshes[k]
-        parts = parts + (c_re + 1j * c_im) * np.exp(1j * t * phase)
+        parts = parts + (c_re + 1j * c_im) * np.exp(1j * t * _phase(kvec, axes, rho.shape))
     return rho * parts
+
+
+def _phase(kvec, axes, shape):
+    """<k, x> at every node, summed over the axes in order."""
+    phase = np.zeros(shape)
+    for comp, ax in zip(kvec, axes):
+        if comp:
+            phase = phase + comp * ax
+    return phase
 
 
 def _random_terms(rng, box):
@@ -444,11 +488,11 @@ def falsify(spec, p, budget=2000, seed=0):
     box = list(zip(grid.lo, grid.hi))
     n = grid.n
     ev = FormEvaluator(spec, grid)
-    meshes = grid.meshes()
+    axes = _broadcast_axes(grid)
     rng = np.random.default_rng(seed)
 
     starts = _make_starts(p, budget, rng, box, n)
-    values = [ev.value(_build_values(fam, params, meshes, box), p) for fam, params in starts]
+    values = [ev.value(_build_values(fam, params, axes), p) for fam, params in starts]
     evaluations = len(starts)
 
     ranked = sorted(
@@ -482,7 +526,7 @@ def falsify(spec, p, budget=2000, seed=0):
                     if trial[j] == vec[j]:
                         continue
                     tparams = _unpack(fam, params, trial, box)
-                    tval = ev.value(_build_values(fam, tparams, meshes, box), p)
+                    tval = ev.value(_build_values(fam, tparams, axes), p)
                     used += 1
                     if tval < cur_val:
                         vec = trial
@@ -497,7 +541,7 @@ def falsify(spec, p, budget=2000, seed=0):
             best = cand
 
     bval, bfam, bidx, bparams = best
-    wit_vals = _build_values(bfam, bparams, meshes, box)
+    wit_vals = _build_values(bfam, bparams, axes)
     threshold = TOL_NEG * (1.0 + ev.h1_scale(wit_vals))
     found = bval < -threshold
     return FalsifyResult(

@@ -96,18 +96,22 @@ class GridFunction:
     def gradient(self):
         """Central differences per axis with the zero boundary extension.
 
-        Returns an array of shape (n,) + grid.shape.
+        Returns an array of shape (n,) + grid.shape.  The first and last
+        nodes of an axis take x - 0 and 0 - x against the boundary, so
+        signs of zero come out as with an explicitly zero padded array.
         """
         v = self.values
-        n = self.grid.n
         h = self.grid.spacing
-        padded = np.pad(v, 1)
-        out = np.empty((n,) + v.shape, dtype=complex)
-        core = tuple(slice(1, -1) for _ in range(n))
-        for k in range(n):
-            up = list(core)
-            dn = list(core)
-            up[k] = slice(2, None)
-            dn[k] = slice(0, -2)
-            out[k] = (padded[tuple(up)] - padded[tuple(dn)]) / (2.0 * h[k])
+        out = np.empty((self.grid.n,) + v.shape, dtype=complex)
+        for k in range(self.grid.n):
+            head = (slice(None),) * k
+            dst = out[k]
+            if v.shape[k] == 1:
+                dst.fill(0.0)
+            else:
+                np.subtract(v[head + (slice(2, None),)], v[head + (slice(None, -2),)],
+                            out=dst[head + (slice(1, -1),)])
+                np.subtract(v[head + (slice(1, 2),)], 0.0, out=dst[head + (slice(None, 1),)])
+                np.subtract(0.0, v[head + (slice(-2, -1),)], out=dst[head + (slice(-1, None),)])
+            dst /= 2.0 * h[k]
         return out

@@ -15,6 +15,8 @@ import numpy as np
 
 from dissipate import GridFunction
 from dissipate.cli import main as cli_main
+from dissipate.coeffspec import bump, sample_operator
+from dissipate.formcheck import MASK_EPS
 from dissipate.pointwise import TOL_PSD, trace_norm
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -153,6 +155,67 @@ def p_condition_oracle(A, p):
     )
 
 
+def padded_gradient_oracle(values, spacing):
+    """Central differences against an explicitly zero padded copy,
+    shape (n,) + values.shape."""
+    n = values.ndim
+    padded = np.pad(values, 1)
+    out = np.empty((n,) + values.shape, dtype=complex)
+    core = tuple(slice(1, -1) for _ in range(n))
+    for k in range(n):
+        up = list(core)
+        dn = list(core)
+        up[k] = slice(2, None)
+        dn[k] = slice(0, -2)
+        out[k] = (padded[tuple(up)] - padded[tuple(dn)]) / (2.0 * spacing[k])
+    return out
+
+
+def mesh_profile_oracle(grid, terms):
+    """Sum of amp * prod bump((x - ctr)/rad) taken on the full meshes."""
+    meshes = grid.meshes()
+    rho = np.zeros_like(meshes[0])
+    for amp, ctrs, rads in terms:
+        piece = np.full_like(meshes[0], amp)
+        for k, mesh in enumerate(meshes):
+            piece = piece * bump((mesh - ctrs[k]) / rads[k])
+        rho = rho + piece
+    return rho
+
+
+def form_value_oracle(spec, grid, values, p):
+    """The transformed functional by the node-first formula: padded
+    gradient, the full modulus direction split at every exponent and
+    einsums over (m, n, n) coefficients."""
+    sam = sample_operator(spec, grid.points())
+    vals = np.asarray(values, dtype=complex).reshape(grid.shape)
+    g = padded_gradient_oracle(vals, grid.spacing).reshape(grid.n, -1)
+    flat = vals.reshape(-1)
+    absv = np.abs(flat)
+    unmasked = absv > MASK_EPS * absv.max(initial=0.0)
+    phase = np.zeros_like(flat)
+    np.divide(flat.conj(), absv, out=phase, where=unmasked)
+    w = phase[None, :] * g
+    X = np.where(unmasked[None, :], w.real, 0.0)
+    Y = np.where(unmasked[None, :], w.imag, 0.0)
+
+    pc = p / (p - 1.0)
+    gamma = 1.0 - 2.0 / p
+    A = sam.A
+    total = np.einsum("jhk,kj,hj->j", A, g, g.conj()).real
+    if gamma != 0.0:
+        A_minus_star = A - A.conj().transpose(0, 2, 1)
+        total = total - gamma * np.einsum("jhk,kj,hj->j", A_minus_star, X + 0j, X - 1j * Y).real
+        total = total - gamma * gamma * np.einsum("jhk,kj,hj->j", A, X + 0j, X + 0j).real
+    im_bc = (sam.b + sam.c).imag.T
+    if np.any(im_bc != 0.0):
+        total = total + np.einsum("kj,kj->j", im_bc, (flat.conj()[None, :] * g).imag)
+    zer = (sam.div_b / p - sam.div_c / pc - sam.a).real
+    if np.any(zer != 0.0):
+        total = total + zer * (flat.real ** 2 + flat.imag ** 2)
+    return float(total.sum() * grid.weight)
+
+
 # A one dimensional operator with every coefficient populated and
 # nonconstant, used by the two functional-route batteries.
 FULL_COEFF_1D = {
@@ -175,4 +238,7 @@ GOLDEN_CASES = [
     ("interval_one_plus_i.json", ("interval", preset("one_plus_i_laplacian"), "--format", "json")),
     ("constant_example3_p4.json", ("constant", preset("example3"), "--p", "4", "--format", "json")),
     ("falsify_example2.txt", ("--format", "text", "falsify", preset("example2"), "--p", "2", "--budget", "5000", "--seed", "7")),
+    # p != 2 reaches the modulus direction split: a 1D witness and a 2D miss
+    ("falsify_one_plus_i_p12.txt", ("falsify", preset("one_plus_i_laplacian"), "--p", "12", "--budget", "2000", "--seed", "0")),
+    ("falsify_example1_p4.txt", ("falsify", preset("example1"), "--p", "4", "--budget", "1000", "--seed", "0")),
 ]

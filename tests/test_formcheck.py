@@ -17,9 +17,23 @@ from dissipate import (
     spec_from_dict,
 )
 from dissipate.cli import load_preset
-from dissipate.formcheck import TOL_NEG, FormEvaluator
+from dissipate.formcheck import (
+    TOL_NEG,
+    FormEvaluator,
+    _broadcast_axes,
+    _build_values,
+    _make_starts,
+    _profile,
+    _random_terms,
+)
 
-from conftest import FULL_COEFF_1D, boundary_flat_battery
+from conftest import (
+    FULL_COEFF_1D,
+    boundary_flat_battery,
+    form_value_oracle,
+    mesh_profile_oracle,
+    padded_gradient_oracle,
+)
 
 
 def laplace_doc(shape=(256,)):
@@ -73,6 +87,106 @@ class TestGradientSplit:
         # skip the two nodes whose stencil touches the zero padded
         # boundary; the probe does not vanish there
         np.testing.assert_allclose(sp.Y[0][1:-1], ref[1:-1], atol=5e-3)
+
+
+# A 2D operator with an imaginary drift, a zero order term and a
+# nonsymmetric complex A, and a 3D one with drifts on two axes.
+DRIFT_2D = {
+    "n": 2,
+    "domain": [[0.0, 1.0], [-1.0, 1.0]],
+    "grid": [12, 10],
+    "A": [
+        [{"re": "1 + 0.5*x1", "im": "0.3*x2"}, {"re": "0.1", "im": "0.8*x1*x2"}],
+        [{"re": "-0.1", "im": "-0.2 + x1"}, {"re": "2 - x2/4"}],
+    ],
+    "b": [{"im": "0.5 + x2"}, {"re": "0.2*x1", "im": "-0.3"}],
+    "a": {"re": "0.4*x1*x2", "im": "1"},
+}
+DRIFT_3D = {
+    "n": 3,
+    "domain": [[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]],
+    "grid": [8, 8, 8],
+    "A": [
+        [{"re": "1", "im": "0.5*x3"}, {"im": "x1"}, {"re": "0.2"}],
+        [{"im": "-x1"}, {"re": "1 + x2"}, {"re": "0.1", "im": "0.3"}],
+        [{"re": "0.2"}, {"re": "0.1", "im": "-0.3"}, {"re": "2", "im": "sin(pi*x1)"}],
+    ],
+    "b": [{"im": "x3"}, {"re": "0"}, {"re": "x1", "im": "0.2"}],
+    "c": [{"re": "0"}, {"im": "x2"}, {"re": "0"}],
+    "a": {"re": "-0.3"},
+}
+
+
+def falsifier_probes(grid, count, seed):
+    """Seeded probes from every falsifier family on the grid."""
+    rng = np.random.default_rng(seed)
+    box = list(zip(grid.lo, grid.hi))
+    starts = _make_starts(3.0, 400, rng, box, grid.n)
+    picked = starts[:3] + starts[-count:]
+    axes = _broadcast_axes(grid)
+    assert {fam for fam, _ in picked} == {1, 2, 3}
+    return [_build_values(fam, params, axes) for fam, params in picked]
+
+
+class TestBitExactKernels:
+    """The falsifier's kernels reproduce their reference formulas bit
+    for bit, since its ranking breaks exact ties."""
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 4), (3, 1, 2), (6, 7)])
+    def test_gradient_matches_the_padded_differences(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        grid = Grid((0.0,) * len(shape), (1.3,) * len(shape), shape)
+        for trial in range(6):
+            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            zero = rng.random(shape) < 0.4
+            signed = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+            vals = np.where(zero, signed + 1j * np.where(rng.random(shape) < 0.5, -0.0, 0.0), vals)
+            if trial == 0:
+                vals = np.full(shape, complex(-0.0, -0.0))
+            ref = padded_gradient_oracle(vals, grid.spacing)
+            got = GridFunction(grid, vals).gradient()
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40,), (9, 12), (6, 5, 7)])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_separable_profile_matches_the_mesh_product(self, shape, count):
+        grid = Grid((0.0,) * len(shape), tuple(1.0 + k for k in range(len(shape))), shape)
+        rng = np.random.default_rng(100 * count + len(shape))
+        box = list(zip(grid.lo, grid.hi))
+        for _ in range(4):
+            terms = _random_terms(rng, box)[:count]
+            while len(terms) < count:
+                terms = terms + _random_terms(rng, box)[: count - len(terms)]
+            ref = mesh_profile_oracle(grid, terms)
+            got = _profile(_broadcast_axes(grid), terms)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "doc,shape",
+        [
+            (FULL_COEFF_1D, (48,)),
+            (FULL_COEFF_1D, (1,)),
+            (DRIFT_2D, (12, 10)),
+            (DRIFT_2D, (7, 1)),
+            (DRIFT_3D, (6, 5, 4)),
+            (DRIFT_3D, (4, 1, 3)),
+            (load_preset("example2"), (16, 16)),
+        ],
+        ids=["full1d", "full1d-one-node", "drift2d", "drift2d-one-node-axis",
+             "drift3d", "drift3d-one-node-axis", "example2"],
+    )
+    def test_evaluator_matches_the_node_first_formula(self, doc, shape):
+        spec = spec_from_dict(doc)
+        grid = Grid.from_spec(spec, shape=shape)
+        ev = FormEvaluator(spec, grid)
+        probes = falsifier_probes(grid, 6, seed=sum(shape))
+        masked = probes[-1].copy()
+        masked.reshape(-1)[::3] = 0.0
+        probes.append(masked)
+        for p in (1.5, 2.0, 3.0, 12.0, 1.5):
+            for vals in probes:
+                assert ev.value(vals, p) == form_value_oracle(spec, grid, vals, p)
 
 
 class TestTransformedFunctional:
