@@ -523,8 +523,9 @@ def main(argv=None):
         RuntimeError,
         ValueError,
         OSError,
+        MemoryError,
     ) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
     fmt = getattr(args, "format_opt", None) or args.format_root or "text"
     sys.stdout.write(render_report(report, fmt))

@@ -10,9 +10,11 @@ differencing with coefficients sampled at cell midpoints x +- h/2 e_k
 (for the pure 1D coefficient A = 1 this is exactly tridiag(1,-2,1)/h^2);
 drift terms use central differences.  ``evolve`` runs implicit Euler
 steps of u' = M u with the system matrix factored once, recording the
-L^p norm of the iterate at every step.  ``estimate_omega`` turns a norm
-trace into a growth bound estimate: the largest sliding-window slope of
-log ||u||, clamped at zero.
+L^p norm of the iterate at every step; a system whose matrix and
+initial data have no nonzero imaginary entry is factored and solved in
+real arithmetic.  ``estimate_omega`` turns a norm trace into a growth
+bound estimate: the largest sliding-window slope of log ||u||, clamped
+at zero.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, identity
+from scipy.sparse import coo_matrix, csc_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .coeffspec import _eval_field
 from .grids import Grid, GridFunction
 
 NODE_CAP = 16384
+STEP_CAP = 100_000
 
 __all__ = [
     "DiscreteOperator",
@@ -37,6 +40,7 @@ __all__ = [
     "evolve",
     "estimate_omega",
     "NODE_CAP",
+    "STEP_CAP",
 ]
 
 
@@ -216,26 +220,45 @@ def evolve(op, u0, dt, t_end, p):
     """Implicit Euler for u' = M u, recording ||u||_p each step.
 
     The system matrix I - dt M is factored once (sparse LU) and reused
-    for every step.
+    for every step.  When neither I - dt M nor the initial data has a
+    nonzero imaginary entry, the factorization and the solves run in
+    real arithmetic; the norms then agree with the complex route up to
+    rounding.  ``round(t_end / dt)`` steps are taken (at least one, at
+    most STEP_CAP).
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ValueError("need dt > 0 and t_end > 0")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise ValueError(f"need finite dt > 0 and t_end > 0, got dt = {dt:g}, t_end = {t_end:g}")
     grid = op.grid
     if isinstance(u0, GridFunction):
-        vec = u0.values.reshape(-1).astype(complex)
+        if u0.grid != grid:
+            raise ValueError("initial data grid does not match the operator grid")
+        vec = u0.values.reshape(-1)
     else:
-        vec = np.asarray(u0, dtype=complex).reshape(-1)
+        vec = np.asarray(u0).reshape(-1)
         if vec.size != grid.size:
             raise ValueError("initial data does not match the grid")
-    steps = max(1, int(round(t_end / dt)))
+    ratio = t_end / dt  # may overflow to inf
+    if ratio > STEP_CAP + 1 or round(ratio) > STEP_CAP:
+        raise ValueError(f"t_end / dt = {ratio:.6g} asks for more than {STEP_CAP} steps")
+    steps = max(1, int(round(ratio)))
     system = (identity(grid.size, format="csc", dtype=complex) - dt * op.matrix).tocsc()
+    if not system.data.imag.any() and not np.imag(vec).any():
+        # system.real would keep a strided view of the data, which
+        # SuperLU rejects; copy into a contiguous float matrix instead
+        system = csc_matrix(
+            (np.ascontiguousarray(system.data.real), system.indices, system.indptr),
+            shape=system.shape,
+        )
+        vec = vec.real.astype(float)
+    else:
+        vec = vec.astype(complex)
+    norms = np.empty(steps + 1)
+    norms[0] = lp_norm(GridFunction(grid, vec.reshape(grid.shape)), p)
     try:
         lu = splu(system)
     except RuntimeError as err:
         raise RuntimeError(f"time step matrix I - dt M is singular: {err}") from err
 
-    norms = np.empty(steps + 1)
-    norms[0] = lp_norm(GridFunction(grid, vec.reshape(grid.shape)), p)
     for k in range(1, steps + 1):
         vec = lu.solve(vec)
         norms[k] = lp_norm(GridFunction(grid, vec.reshape(grid.shape)), p)

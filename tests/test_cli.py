@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dissipate import Grid, decompose, p_interval, q_sufficiency, sample_operator, spec_from_dict
+from dissipate import cli
 from dissipate.cli import _build_parser
 
 from conftest import (
@@ -70,6 +71,22 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "budget" in err
         assert out == ""
+
+    @pytest.mark.parametrize("err,shown", [
+        (MemoryError("Unable to allocate 8.00 GiB"), "error: Unable to allocate 8.00 GiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_memory_error_exits_two(self, monkeypatch, err, shown):
+        def exhausted(args):
+            raise err
+
+        monkeypatch.setitem(cli._DISPATCH, "simulate", exhausted)
+        code, out, stderr = run_cli(
+            "simulate", preset("laplacian1d"), "--p", "2", "--dt", "1e-3", "--t-end", "1e-2",
+        )
+        assert code == 2
+        assert out == ""
+        assert stderr == shown
 
     def test_failing_check_still_completes(self):
         code, out, _ = run_cli("check", preset("one_plus_i_laplacian"), "--p", "12")

@@ -14,7 +14,10 @@ from dissipate import (
     lp_norm,
     spec_from_dict,
 )
-from dissipate.semigroup import NODE_CAP, NormTrace
+from dissipate import semigroup
+from dissipate.semigroup import NODE_CAP, STEP_CAP, NormTrace
+
+from conftest import complex_evolve_oracle, preset, run_cli
 
 
 def doc_1d(**over):
@@ -221,6 +224,133 @@ class TestEvolve:
             evolve(op, u0, dt=0.0, t_end=1.0, p=2.0)
         with pytest.raises(ValueError):
             evolve(op, np.ones(5), dt=0.1, t_end=1.0, p=2.0)
+
+    @pytest.mark.parametrize("dt,t_end", [
+        (math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0),
+        (0.1, math.nan), (0.1, math.inf), (0.1, -1.0), (0.1, 0.0),
+    ])
+    def test_non_finite_or_non_positive_times_are_rejected(self, dt, t_end):
+        op = discretize(spec_from_dict(doc_1d()))
+        with pytest.raises(ValueError, match="need finite dt > 0 and t_end > 0"):
+            evolve(op, np.ones(8), dt=dt, t_end=t_end, p=2.0)
+
+    def test_gridfunction_on_another_grid_is_rejected(self):
+        op = discretize(spec_from_dict(doc_1d()))
+        same_shape = Grid((0.0,), (2.0,), (8,))
+        with pytest.raises(ValueError, match="grid does not match"):
+            evolve(op, GridFunction(same_shape, np.ones(8)), dt=0.1, t_end=1.0, p=2.0)
+        other_shape = Grid((0.0,), (1.0,), (9,))
+        with pytest.raises(ValueError, match="grid does not match"):
+            evolve(op, GridFunction(other_shape, np.ones(9)), dt=0.1, t_end=1.0, p=2.0)
+
+
+class _Factored(Exception):
+    pass
+
+
+def _refuse_splu(system):
+    raise _Factored
+
+
+class TestStepCap:
+    """The step count is checked before the trace is allocated and the
+    system factored; splu is replaced so no long run can start."""
+
+    def test_cap_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "splu", _refuse_splu)
+        op = discretize(spec_from_dict(doc_1d()))
+        with pytest.raises(_Factored):
+            evolve(op, np.ones(8), dt=1e-3, t_end=STEP_CAP * 1e-3, p=2.0)
+
+    # cap + 1 steps, and a t_end / dt that overflows to inf
+    @pytest.mark.parametrize("dt,t_end", [(1e-3, (STEP_CAP + 1) * 1e-3), (1e-300, 1e300)])
+    def test_more_steps_are_rejected(self, monkeypatch, dt, t_end):
+        monkeypatch.setattr(semigroup, "splu", _refuse_splu)
+        op = discretize(spec_from_dict(doc_1d()))
+        with pytest.raises(ValueError, match=f"more than {STEP_CAP} steps"):
+            evolve(op, np.ones(8), dt=dt, t_end=t_end, p=2.0)
+
+    @pytest.mark.parametrize("dt,t_end", [
+        ("nan", "0.05"), ("inf", "0.05"), ("-1e-3", "0.05"), ("1e-3", "inf"),
+        ("1e-9", "0.05"), (repr(1e-3), repr((STEP_CAP + 1) * 1e-3)),
+    ])
+    def test_cli_reports_bad_times_with_exit_2(self, monkeypatch, dt, t_end):
+        monkeypatch.setattr(semigroup, "splu", _refuse_splu)
+        code, out, err = run_cli(
+            "simulate", preset("laplacian1d"), "--p", "2", f"--dt={dt}", f"--t-end={t_end}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _recording_splu(monkeypatch):
+    dtypes = []
+    real_splu = semigroup.splu
+
+    def record(system):
+        dtypes.append(system.dtype)
+        return real_splu(system)
+
+    monkeypatch.setattr(semigroup, "splu", record)
+    return dtypes
+
+
+# real 2D operator with variable coefficients, a drift and a zero order term
+REAL_2D = {
+    "n": 2,
+    "domain": [[0.0, 1.0], [0.0, 1.5]],
+    "grid": [12, 9],
+    "A": [
+        [{"re": "2 + sin(pi*x1)"}, {"re": "0.3*x2"}],
+        [{"re": "0.3*x2"}, {"re": "1 + x1*x2"}],
+    ],
+    "b": [{"re": "0.5"}, {"re": "-x1"}],
+    "a": {"re": "-1"},
+}
+
+
+class TestArithmetic:
+    """Real systems are factored in real arithmetic, within rounding of
+    the complex route; everything else stays on the complex route, bit
+    for bit."""
+
+    def real_op_and_data(self):
+        op = discretize(spec_from_dict(REAL_2D))
+        x, y = op.grid.meshes()
+        return op, np.sin(np.pi * x) * np.sin(2.0 * np.pi * y / 1.5) + 0.25 * x
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["array", "plus_0j", "gridfunction"])
+    def test_real_system_is_factored_in_float64(self, monkeypatch, kind, p):
+        op, vals = self.real_op_and_data()
+        u0 = {
+            "array": vals,
+            "plus_0j": vals + 0j,
+            "gridfunction": GridFunction(op.grid, vals),
+        }[kind]
+        dtypes = _recording_splu(monkeypatch)
+        trace = evolve(op, u0, dt=2e-3, t_end=0.06, p=p)
+        assert dtypes == [np.dtype(np.float64)]
+        ref = complex_evolve_oracle(op, vals, 2e-3, 0.06, p)
+        np.testing.assert_allclose(trace.norms, ref, rtol=1e-12, atol=0.0)
+
+    def test_complex_operator_stays_complex(self, monkeypatch):
+        doc = dict(REAL_2D, b=[{"re": "0.5", "im": "1"}, {"re": "-x1"}])
+        op = discretize(spec_from_dict(doc))
+        _, vals = self.real_op_and_data()
+        dtypes = _recording_splu(monkeypatch)
+        trace = evolve(op, vals, dt=2e-3, t_end=0.06, p=3.0)
+        assert dtypes == [np.dtype(np.complex128)]
+        assert np.array_equal(trace.norms, complex_evolve_oracle(op, vals, 2e-3, 0.06, 3.0))
+
+    def test_complex_data_on_a_real_operator_stays_complex(self, monkeypatch):
+        op, vals = self.real_op_and_data()
+        u0 = GridFunction(op.grid, vals * np.exp(1j * op.grid.meshes()[1]))
+        dtypes = _recording_splu(monkeypatch)
+        trace = evolve(op, u0, dt=2e-3, t_end=0.06, p=2.0)
+        assert dtypes == [np.dtype(np.complex128)]
+        assert np.array_equal(trace.norms, complex_evolve_oracle(op, u0, 2e-3, 0.06, 2.0))
 
 
 class TestDissipationSweep:
