@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import cache
 from importlib import resources
@@ -41,6 +40,7 @@ from .formcheck import _FAMILY_NAMES, falsify
 from .grids import Grid, GridFunction
 from .pointwise import (
     NonnegativityError,
+    _validate_p,
     constant_coeff_verdict,
     decompose,
     lambda_of,
@@ -108,19 +108,13 @@ def _canonical_bump(grid, domain):
     return GridFunction(grid, vals)
 
 
-def _require_p(p):
-    if not math.isfinite(p) or p <= 1.0:
-        raise SpecError("--p", "exponent must be finite and > 1")
-    return float(p)
-
-
 # ----------------------------------------------------------------------
 # subcommand handlers (each returns (Report, exit_code))
 
 
 def _cmd_check(args):
     spec, digest = _load(args.spec)
-    p = _require_p(args.p)
+    p = _validate_p(args.p)
     sam, pts = _field_samples(spec)
     holds, bad = _condition_everywhere(sam, p)
     qualifier = _qualifier(spec, sam)
@@ -186,7 +180,7 @@ def _cmd_interval(args):
 
 def _cmd_constant(args):
     spec, digest = _load(args.spec)
-    p = _require_p(args.p)
+    p = _validate_p(args.p)
     if not spec.is_constant:
         raise SpecError("$", "constant verdict needs constant coefficients")
     sam, _ = _field_samples(spec)
@@ -217,7 +211,7 @@ def _cmd_constant(args):
 
 def _cmd_sufficiency(args):
     spec, digest = _load(args.spec)
-    p = _require_p(args.p)
+    p = _validate_p(args.p)
     sam, pts = _field_samples(spec)
     q = q_sufficiency(sam.A, sam.b, sam.c, sam.a, sam.div_b, sam.div_c, p, args.alpha, args.beta)
     bad = int(np.argmin(q.ok))
@@ -241,7 +235,7 @@ def _cmd_sufficiency(args):
 
 def _cmd_falsify(args):
     spec, digest = _load(args.spec)
-    p = _require_p(args.p)
+    p = _validate_p(args.p)
     res = falsify(spec, p, budget=args.budget, seed=args.seed)
     verdict = {
         "decision": False if res.found else None,
@@ -274,7 +268,7 @@ def _cmd_falsify(args):
 
 def _cmd_simulate(args):
     spec, digest = _load(args.spec)
-    p = _require_p(args.p)
+    p = _validate_p(args.p)
     op = discretize(spec)
     u0 = _canonical_bump(op.grid, spec.domain)
     trace = evolve(op, u0, dt=args.dt, t_end=args.t_end, p=p)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh", "bump")
+NODE_CAP = 16384  # interior nodes of a document's grid
 
 __all__ = [
     "ExprError",
@@ -497,8 +498,8 @@ class OperatorSpec:
 
     Fields mirror the JSON schema: dimension ``n`` (1..3), box ``domain``
     (n closed intervals), default ``grid`` (interior node counts per axis,
-    each at least 8), the n-by-n coefficient matrix ``A``, drift fields
-    ``b`` and ``c`` (length n) and the zero order field ``a``.
+    each at least 8, NODE_CAP nodes at most), the n-by-n matrix ``A``,
+    drift fields ``b`` and ``c`` (length n) and the zero order field ``a``.
     """
 
     n: int
@@ -565,6 +566,8 @@ def spec_from_dict(doc):
         if not isinstance(cnt, int) or isinstance(cnt, bool) or cnt < 8:
             raise SpecError(f"$.grid[{k}]", "node count must be an integer >= 8")
         grid.append(cnt)
+    if math.prod(grid) > NODE_CAP:
+        raise SpecError("$.grid", f"grid has {math.prod(grid)} nodes, cap is {NODE_CAP}")
 
     amat = doc["A"]
     if not isinstance(amat, list) or len(amat) != n:

@@ -1,11 +1,11 @@
 """Pointwise algebra on sampled coefficient matrices.
 
 The matrices are n-by-n with n small.  ``decompose``, ``jacobi_eigh``,
-``min_eigenvalue``, ``trace_norm``, ``psd_pinv_apply``,
-``p_condition_nodes``, ``lambda_nodes`` and ``q_sufficiency`` accept a
-stack of them, shape (..., n, n), one matrix per grid node: every LAPACK
-call covers the whole stack, and each matrix sees exactly the arithmetic
-it would see on its own.
+``min_eigenvalue``, ``psd_pinv_apply``, ``p_condition_nodes``,
+``lambda_nodes`` and ``q_sufficiency`` accept a stack of them, shape
+(..., n, n), one matrix per grid node: every LAPACK call covers the
+whole stack, and each matrix sees exactly the arithmetic it would see
+on its own.
 ``check_p_condition`` and ``lambda_of`` run the node kernels on a
 single matrix; ``lambda_of`` also reduces a stack to its smallest ratio.
 
@@ -27,14 +27,16 @@ controls the full admissible interval of exponents
 whose endpoints are Hoelder conjugate.
 
 The eigenvalue workhorse is LAPACK's symmetric solver (numpy.linalg
-eigh/eigvalsh); the same eigendecomposition backs the pseudo-inverse
-used for singular linear systems (drift compensation, sufficiency
-polynomial minimization).
+eigh/eigvalsh), which also backs the pseudo-inverse for singular linear
+systems.  A matrix is checked (square, finite, symmetric) once, where
+it enters: when a ``SymDecomp`` is built and in ``jacobi_eigh``.  The
+node kernels see only matrices built from a checked SymDecomp.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +53,6 @@ __all__ = [
     "decompose",
     "jacobi_eigh",
     "min_eigenvalue",
-    "trace_norm",
     "psd_pinv_apply",
     "p_condition_nodes",
     "check_p_condition",
@@ -73,15 +74,33 @@ __all__ = [
 # decomposition
 
 
+def _check_symmetric(S):
+    """S as a float array, checked as ``jacobi_eigh`` documents."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise ValueError("expected a square matrix")
+    scale = np.abs(S).max(axis=(-2, -1), initial=0.0)
+    # a NaN or inf entry leaves its matrix's scale NaN or inf
+    if (scale < math.inf).all():
+        skew = np.abs(S - S.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+        if (skew <= 1e-12 * (1.0 + scale)).all():
+            return S
+    raise ValueError("matrix is not finite and symmetric")
+
+
 @dataclass(frozen=True)
 class SymDecomp:
     """Symmetric/skew split of the real and imaginary parts of a matrix,
-    or of every matrix of a stack (each part then has shape (..., n, n))."""
+    or of every matrix of a stack (each part then has shape (..., n, n)).
+    S_r and S_i are checked as ``jacobi_eigh`` checks its input."""
 
     S_r: np.ndarray
     K_r: np.ndarray
     S_i: np.ndarray
     K_i: np.ndarray
+
+    def __post_init__(self):
+        _check_symmetric(np.stack((self.S_r, self.S_i)))
 
     @property
     def n(self):
@@ -116,18 +135,11 @@ def jacobi_eigh(S, vectors=True):
 
     Returns (w, V) with eigenvalues w ascending along the last axis and
     eigenvector columns V (V is None when ``vectors`` is false).  Every
-    matrix must be square and symmetric to 1e-12 (1 + its own max |S|);
-    a single one that is not, or that holds a NaN, fails the whole call.
-    Only the lower triangles are read.
+    matrix must be square, finite and symmetric to 1e-12 (1 + its own
+    max |S|); a single one that is not fails the whole call.  Only the
+    lower triangles are read.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
-        raise ValueError("expected a square matrix")
-    skew = np.abs(S - S.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(S).max(axis=(-2, -1), initial=0.0)
-    # written as "not all <=" so that NaN entries are rejected too
-    if not (skew <= 1e-12 * (1.0 + scale)).all():
-        raise ValueError("matrix is not symmetric")
+    S = _check_symmetric(S)
     if not vectors:
         return np.linalg.eigvalsh(S), None
     w, V = np.linalg.eigh(S)
@@ -156,13 +168,6 @@ def min_eigenvalue(S):
     return _per_matrix(w[..., 0])
 
 
-def trace_norm(S):
-    """Sum of absolute eigenvalues (nuclear norm) of a real symmetric
-    matrix, or of each matrix of a stack."""
-    w, _ = jacobi_eigh(S, vectors=False)
-    return _per_matrix(np.abs(w).sum(axis=-1))
-
-
 def psd_pinv_apply(S, rhs):
     """Least-squares solve S x = rhs for symmetric S via the
     eigendecomposition pseudo-inverse, for one matrix or matrix by matrix
@@ -187,11 +192,11 @@ def psd_pinv_apply(S, rhs):
 def _pencils_psd(S, step, tol):
     """Per matrix of a stack: both S + step and S - step PSD to -tol,
     decided in one LAPACK call."""
-    return (min_eigenvalue(np.stack((S + step, S - step))) >= -tol).all(axis=0)
+    return (np.linalg.eigvalsh(np.stack((S + step, S - step)))[..., 0] >= -tol).all(axis=0)
 
 
 def _validate_p(p):
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 1.0:
+    if not (isinstance(p, numbers.Real) and math.isfinite(p)) or p <= 1.0:
         raise ValueError(f"exponent p must be finite and > 1, got {p!r}")
     return float(p)
 
@@ -206,7 +211,7 @@ def p_condition_nodes(d, p):
     both pencils of every node go to LAPACK in one call.
     """
     p = _validate_p(p)
-    tol = TOL_PSD * (1.0 + trace_norm(d.S_r))
+    tol = TOL_PSD * (1.0 + np.abs(np.linalg.eigvalsh(d.S_r)).sum(axis=-1))
     return _pencils_psd(2.0 * math.sqrt(p - 1.0) * d.S_r, (p - 2.0) * d.S_i, tol)
 
 
@@ -219,7 +224,7 @@ def check_p_condition(d, p):
 def _lower_pencil_direction(S, step):
     """Lowest eigenvector of whichever of S + step and S - step has the
     lower smallest eigenvalue (S + step on a tie)."""
-    w, V = jacobi_eigh(np.stack((S + step, S - step)))
+    w, V = np.linalg.eigh(np.stack((S + step, S - step)))
     return V[0, :, 0] if w[0, 0] <= w[1, 0] else V[1, :, 0]
 
 
@@ -257,7 +262,7 @@ def lambda_nodes(d):
     n = d.n
     S_r = d.S_r.reshape(-1, n, n)
     S_i = d.S_i.reshape(-1, n, n)
-    w, _ = jacobi_eigh(S_r, vectors=False)
+    w = np.linalg.eigvalsh(S_r)
     tol = TOL_PSD * (1.0 + np.abs(w).sum(axis=-1))
     if (w[:, 0] < -tol).any():
         raise NonnegativityError("Re A has a negative direction")
@@ -431,7 +436,7 @@ def q_sufficiency(A, b, c, a, div_b, div_c, p, alpha=0.0, beta=0.0):
     ell = np.concatenate((-2.0 * (alpha * b.real / p - beta * c.real / pp), (b + c).imag), axis=-1)
     const = np.real(div_b) * (1.0 - alpha) / p - np.real(div_c) * (1.0 - beta) / pp - np.real(a)
 
-    w, _ = jacobi_eigh(M, vectors=False)
+    w = np.linalg.eigvalsh(M)
     w_min = w[..., 0]
     psd = w_min >= -TOL_PSD * (1.0 + np.abs(w).sum(axis=-1))
     z, residual = psd_pinv_apply(M, -0.5 * ell)
@@ -492,8 +497,7 @@ def constant_coeff_verdict(A, b, a, p):
     quad = float(V @ (d.S_r @ V))
     margin = a.real + quad
     corollary = None
-    w, _ = jacobi_eigh(d.S_r, vectors=False)
-    w = np.abs(np.asarray(w))
+    w = np.abs(np.linalg.eigvalsh(d.S_r))
     if w.min() > RANK_TOL * max(w.max(), 1e-300):
         # nonsingular: the closed form 4 Re a <= -<S_r^{-1} Im b, Im b>.
         # psd_pinv_apply is linear and scaling by -0.5 is exact, so

@@ -20,16 +20,16 @@ at zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .coeffspec import _eval_field
+from .coeffspec import NODE_CAP, _eval_field
 from .grids import Grid, GridFunction
 
-NODE_CAP = 16384
 STEP_CAP = 100_000
 
 __all__ = [
@@ -72,8 +72,6 @@ def discretize(spec, grid=None):
     """Assemble the operator matrix for ``spec`` on ``grid`` (default spec.grid)."""
     if grid is None:
         grid = Grid.from_spec(spec)
-    if grid.size > NODE_CAP:
-        raise ValueError(f"grid has {grid.size} nodes, cap is {NODE_CAP}")
     n = grid.n
     shape = tuple(grid.shape)
     h = grid.spacing
@@ -179,8 +177,9 @@ def discretize(spec, grid=None):
 
 def lp_norm(u, p):
     """Quadrature L^p norm of a GridFunction: (sum |u|^p prod(h))^(1/p)."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p < 1.0:
+    if not (isinstance(p, numbers.Real) and math.isfinite(p)) or p < 1.0:
         raise ValueError(f"norm exponent must be finite and >= 1, got {p!r}")
+    p = float(p)
     vals = np.abs(np.asarray(u.values)).ravel()
     return float(np.sum(vals ** p) * u.grid.weight) ** (1.0 / p)
 

@@ -19,7 +19,7 @@ from dissipate import GridFunction
 from dissipate.cli import main as cli_main
 from dissipate.coeffspec import bump, sample_operator
 from dissipate.formcheck import MASK_EPS
-from dissipate.pointwise import TOL_PSD, trace_norm
+from dissipate.pointwise import TOL_PSD
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PRESET_DIR = REPO_ROOT / "src" / "dissipate" / "presets"
@@ -98,12 +98,12 @@ def seeded_matrices(count=200, seed=1234, dims=(1, 2, 3, 5), allow_zero_im=True)
 def lam_bracket_oracle(S_r, S_i):
     """Bisection for the admissible pencil ratio using numpy eigenvalues.
 
-    The pencil eigenvalues come from numpy directly, not through
-    ``pointwise``; same tolerance semantics.  Returns (lam, hi): the
-    ratio and the upper end of its final bracket, both inf when the
-    ratio is.
+    The tolerance and the pencil eigenvalues come from numpy directly,
+    not through ``pointwise``; same tolerance semantics.  Returns
+    (lam, hi): the ratio and the upper end of its final bracket, both inf
+    when the ratio is.
     """
-    tol = TOL_PSD * (1.0 + trace_norm(S_r))
+    tol = TOL_PSD * (1.0 + np.abs(np.linalg.eigvalsh(S_r)).sum())
 
     def feasible(t):
         return (

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from dissipate import Grid, decompose, p_interval, q_sufficiency, sample_operator, spec_from_dict
-from dissipate import cli
+from dissipate import cli, formcheck
 from dissipate.cli import _build_parser
+from dissipate.coeffspec import NODE_CAP
 
 from conftest import (
     GOLDEN_CASES,
@@ -59,10 +60,19 @@ class TestExitCodes:
         assert code == 2
         assert "constant" in err
 
-    def test_exponent_must_exceed_one(self):
-        code, _, err = run_cli("check", preset("example3"), "--p", "0.5")
+    @pytest.mark.parametrize("p", ["1", "0.5", "nan", "inf"])
+    @pytest.mark.parametrize("cmd", ["check", "constant", "sufficiency", "falsify", "simulate"])
+    def test_exponent_must_exceed_one(self, monkeypatch, cmd, p):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started on an invalid exponent")
+
+        for name in ("sample_operator", "falsify", "discretize"):
+            monkeypatch.setattr(cli, name, unreachable)
+        extra = ("--dt", "1e-3", "--t-end", "1e-2") if cmd == "simulate" else ()
+        code, out, err = run_cli(cmd, preset("example3"), "--p", p, *extra)
         assert code == 2
-        assert "--p" in err
+        assert out == ""
+        assert err.startswith("error: exponent p must be finite and > 1")
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_falsifier_budget_below_one(self, budget):
@@ -247,6 +257,49 @@ class TestField3D:
         payload = json_out("check", path, "--p", repr(p), "--format", "json")
         assert payload["verdict"]["decision"] is True
         assert payload["witness"] is None
+
+
+class TestGridCap:
+    """A document grid beyond NODE_CAP nodes is an input error, raised
+    before anything is sampled; the cap itself runs."""
+
+    ARGS = {
+        "check": ("--p", "3"),
+        "interval": (),
+        "sufficiency": ("--p", "2"),
+        "falsify": ("--p", "2", "--budget", "1"),
+        "simulate": ("--p", "2", "--dt", "1e-3", "--t-end", "1e-3"),
+    }
+
+    @staticmethod
+    def field(tmp_path, shape):
+        doc = {
+            "n": 2,
+            "domain": [[0.0, 1.0], [0.0, 1.0]],
+            "grid": list(shape),
+            "A": [[{"re": "2 + x1"}, {}], [{}, {"re": "1", "im": "0.5 * x2"}]],
+        }
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        return str(path)
+
+    @pytest.mark.parametrize("cmd", sorted(ARGS))
+    def test_one_node_over_the_cap_exits_two_unsampled(self, monkeypatch, tmp_path, cmd):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an oversized grid was sampled")
+
+        monkeypatch.setattr(cli, "sample_operator", unreachable)
+        monkeypatch.setattr(formcheck, "sample_operator", unreachable)
+        code, out, err = run_cli(cmd, self.field(tmp_path, (128, 129)), *self.ARGS[cmd])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: $.grid: grid has {128 * 129} nodes, cap is {NODE_CAP}\n"
+
+    @pytest.mark.parametrize("cmd", ["check", "interval", "sufficiency"])
+    def test_a_grid_at_the_cap_runs(self, tmp_path, cmd):
+        assert 128 * 128 == NODE_CAP
+        payload = json_out(cmd, self.field(tmp_path, (128, 128)), *self.ARGS[cmd], "--format", "json")
+        assert payload["numbers"]["nodes"] == NODE_CAP
 
 
 class TestCheck:

@@ -7,6 +7,7 @@ import pytest
 
 from dissipate import (
     NonnegativityError,
+    SymDecomp,
     check_p_condition,
     constant_coeff_verdict,
     decompose,
@@ -17,10 +18,10 @@ from dissipate import (
     q_sufficiency,
 )
 from dissipate.pointwise import (
+    _validate_p,
     lambda_nodes,
     p_condition_nodes,
     psd_pinv_apply,
-    trace_norm,
     violating_direction,
 )
 
@@ -59,6 +60,28 @@ class TestDecompose:
             one = decompose(A)
             for part in ("S_r", "K_r", "S_i", "K_i"):
                 assert np.array_equal(getattr(d, part)[j], getattr(one, part))
+
+    @pytest.mark.parametrize("part", ["S_r", "S_i"])
+    @pytest.mark.parametrize("lower", [1.0 + 1e-6, math.nan, math.inf])
+    def test_direct_construction_checks_both_symmetric_parts(self, part, lower):
+        good = np.array([[2.0, 1.0], [1.0, 2.0]])
+        bad = np.array([[2.0, 1.0], [lower, 2.0]])
+        zero = np.zeros((2, 2))
+        parts = {"S_r": good, "K_r": zero, "S_i": good, "K_i": zero, part: bad}
+        with pytest.raises(ValueError, match="symmetric"):
+            SymDecomp(**parts)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_a_non_finite_matrix_fails_before_any_lapack_call(self, monkeypatch, entry):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        A = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        A[1, 0, 1] = entry
+        with pytest.raises(ValueError, match="symmetric"):
+            lambda_of(decompose(A))
 
 
 class TestJacobi:
@@ -135,8 +158,6 @@ class TestJacobi:
     def test_single_matrix_helpers_return_floats(self):
         S = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert type(min_eigenvalue(S)) is float
-        assert type(trace_norm(S)) is float
-        assert trace_norm(np.stack((S, -S))).tolist() == [4.0, 4.0]
 
     def test_pseudo_inverse_of_a_stack_equals_the_matrices_one_by_one(self):
         rng = np.random.default_rng(48)
@@ -183,6 +204,16 @@ class TestPCondition:
             check_p_condition(d, 1.0)
         with pytest.raises(ValueError):
             check_p_condition(d, math.inf)
+
+    @pytest.mark.parametrize("p", [np.int64(3), np.float32(3.0), np.float64(3.0), 3, 3.0])
+    def test_numpy_exponents_are_accepted(self, p):
+        assert _validate_p(p) == 3.0 and type(_validate_p(p)) is float
+        assert check_p_condition(decompose(np.eye(2).astype(complex)), p)
+
+    @pytest.mark.parametrize("p", ["3", None, 3j, np.int64(1), np.float32(math.nan)])
+    def test_non_real_or_out_of_range_exponents_are_rejected(self, p):
+        with pytest.raises(ValueError, match="finite and > 1"):
+            _validate_p(p)
 
     def test_violating_direction_is_a_failing_direction(self):
         for A in seeded_matrices(count=60, seed=9, allow_zero_im=False):

@@ -120,6 +120,19 @@ class TestNorms:
         for p in (1.0, 2.0, 3.5):
             assert lp_norm(two, p) == pytest.approx(2.0 * lp_norm(u, p), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [np.int64(3), np.float32(3.0)])
+    def test_numpy_exponents_are_accepted(self, p):
+        grid = Grid((0.0,), (1.0,), (8,))
+        u = GridFunction(grid, np.linspace(0.1, 0.8, 8) + 0j)
+        assert lp_norm(u, p) == lp_norm(u, 3.0)
+
+    @pytest.mark.parametrize("p", ["3", None, 3j])
+    def test_non_real_exponents_are_rejected(self, p):
+        grid = Grid((0.0,), (1.0,), (8,))
+        u = GridFunction(grid, np.ones(8, dtype=complex))
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            lp_norm(u, p)
+
     def test_exponent_validation(self):
         grid = Grid((0.0,), (1.0,), (8,))
         u = GridFunction(grid, np.ones(8, dtype=complex))
