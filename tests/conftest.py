@@ -218,14 +218,19 @@ def form_value_oracle(spec, grid, values, p):
     return float(total.sum() * grid.weight)
 
 
-def complex_evolve_oracle(op, u0, dt, t_end, p):
+def complex_evolve_oracle(op, u0, dt, t_end, p, colamd=False):
     """Implicit Euler norms with the factorization and the solves always
-    in complex arithmetic, whatever the input."""
+    in complex arithmetic, whatever the input.  The factorization uses
+    the ordering of ``evolve``, so the complex route matches bit for bit,
+    or SuperLU's default COLAMD ordering with ``colamd=True``."""
     grid = op.grid
     vec = np.asarray(getattr(u0, "values", u0), dtype=complex).reshape(-1)
     steps = max(1, int(round(t_end / dt)))
     system = (identity(grid.size, format="csc", dtype=complex) - dt * op.matrix).tocsc()
-    lu = splu(system)
+    if colamd:
+        lu = splu(system)
+    else:
+        lu = splu(system, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
     def norm(v):
         return float(np.sum(np.abs(v) ** p) * grid.weight) ** (1.0 / p)

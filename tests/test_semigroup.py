@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import identity
 
 from dissipate import (
     Grid,
@@ -15,7 +16,7 @@ from dissipate import (
     spec_from_dict,
 )
 from dissipate import semigroup
-from dissipate.semigroup import NODE_CAP, STEP_CAP, NormTrace
+from dissipate.semigroup import NODE_CAP, STEP_CAP, DiscreteOperator, NormTrace
 
 from conftest import complex_evolve_oracle, preset, run_cli
 
@@ -261,7 +262,7 @@ class _Factored(Exception):
     pass
 
 
-def _refuse_splu(system):
+def _refuse_splu(system, **kwargs):
     raise _Factored
 
 
@@ -301,9 +302,9 @@ def _recording_splu(monkeypatch):
     dtypes = []
     real_splu = semigroup.splu
 
-    def record(system):
+    def record(system, **kwargs):
         dtypes.append(system.dtype)
-        return real_splu(system)
+        return real_splu(system, **kwargs)
 
     monkeypatch.setattr(semigroup, "splu", record)
     return dtypes
@@ -321,6 +322,8 @@ REAL_2D = {
     "b": [{"re": "0.5"}, {"re": "-x1"}],
     "a": {"re": "-1"},
 }
+# the same with an imaginary drift, so I - dt M is complex
+COMPLEX_2D = dict(REAL_2D, b=[{"re": "0.5", "im": "1"}, {"re": "-x1"}])
 
 
 class TestArithmetic:
@@ -349,8 +352,7 @@ class TestArithmetic:
         np.testing.assert_allclose(trace.norms, ref, rtol=1e-12, atol=0.0)
 
     def test_complex_operator_stays_complex(self, monkeypatch):
-        doc = dict(REAL_2D, b=[{"re": "0.5", "im": "1"}, {"re": "-x1"}])
-        op = discretize(spec_from_dict(doc))
+        op = discretize(spec_from_dict(COMPLEX_2D))
         _, vals = self.real_op_and_data()
         dtypes = _recording_splu(monkeypatch)
         trace = evolve(op, vals, dt=2e-3, t_end=0.06, p=3.0)
@@ -364,6 +366,63 @@ class TestArithmetic:
         trace = evolve(op, u0, dt=2e-3, t_end=0.06, p=2.0)
         assert dtypes == [np.dtype(np.complex128)]
         assert np.array_equal(trace.norms, complex_evolve_oracle(op, u0, 2e-3, 0.06, 2.0))
+
+
+LAPLACIAN_3D = {
+    "n": 3,
+    "domain": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+    "grid": [8, 8, 8],
+    "A": [
+        [{"re": "1"}, {}, {}],
+        [{}, {"re": "1"}, {}],
+        [{}, {}, {"re": "1"}],
+    ],
+}
+
+
+class TestFactorization:
+    """The minimum-degree ordering in symmetric mode changes the LU
+    fill, not the solution: the norms agree with a COLAMD-ordered
+    factorization up to rounding, and threshold pivoting is kept."""
+
+    @pytest.mark.parametrize("case", ["real_2d", "complex_2d", "laplacian_3d"])
+    def test_norms_match_a_colamd_factorization(self, case):
+        doc = {
+            "real_2d": REAL_2D,
+            "complex_2d": COMPLEX_2D,
+            "laplacian_3d": LAPLACIAN_3D,
+        }[case]
+        op = discretize(spec_from_dict(doc))
+        meshes = op.grid.meshes()
+        u0 = np.prod([np.sin(np.pi * x) for x in meshes], axis=0) + 0.25 * meshes[0]
+        for p in (2.0, 3.0):
+            trace = evolve(op, u0, dt=2e-3, t_end=0.04, p=p)
+            ref = complex_evolve_oracle(op, u0, 2e-3, 0.04, p, colamd=True)
+            np.testing.assert_allclose(trace.norms, ref, rtol=1e-12, atol=0.0)
+
+    # 2 dt / h^2 = 5.78 and dt a = 6.78, so every diagonal entry of
+    # I - dt M is exactly zero; a slightly smaller a leaves diagonal
+    # entries of about 1e-12, which only threshold pivoting passes over
+    @pytest.mark.parametrize("a,diagonal", [("678", 0.0), ("677.9999999999", 1e-12)])
+    def test_small_or_zero_diagonal_still_pivots(self, a, diagonal):
+        op = discretize(spec_from_dict(doc_1d(grid=[16], a={"re": a})))
+        dt = 1e-2
+        system = np.eye(16) - dt * op.matrix.toarray().real
+        np.testing.assert_allclose(np.diag(system), diagonal, rtol=1e-3, atol=0.0)
+        u0 = np.sin(np.pi * op.grid.meshes()[0]) + 0.1
+        trace = evolve(op, u0, dt=dt, t_end=0.1, p=2.0)
+        vec = u0.copy()
+        ref = [lp_norm(GridFunction(op.grid, vec), 2.0)]
+        for _ in range(10):
+            vec = np.linalg.solve(system, vec)
+            ref.append(lp_norm(GridFunction(op.grid, vec), 2.0))
+        np.testing.assert_allclose(trace.norms, ref, rtol=1e-12, atol=0.0)
+
+    def test_singular_system_is_reported(self):
+        grid = Grid((0.0,), (1.0,), (8,))
+        op = DiscreteOperator(grid, 2 * identity(8, format="csc", dtype=complex))
+        with pytest.raises(RuntimeError, match="I - dt M is singular"):
+            evolve(op, np.ones(8), dt=0.5, t_end=1.0, p=2.0)
 
 
 class TestDissipationSweep:
