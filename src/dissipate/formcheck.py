@@ -36,6 +36,7 @@ polish, reproducible for a given seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,12 @@ from .semigroup import discretize
 
 MASK_EPS = 1e-12   # relative modulus threshold for the direction split
 TOL_NEG = 1e-9     # relative negativity threshold for the falsifier
+BUDGET_CAP = 100_000  # most evaluations one falsifier run may ask for
 
 __all__ = [
     "MASK_EPS",
     "TOL_NEG",
+    "BUDGET_CAP",
     "GradientSplit",
     "gradient_split",
     "FormEvaluator",
@@ -479,11 +482,14 @@ def falsify(spec, p, budget=2000, seed=0):
     best candidates; ties in value go to the lower family, then the
     earlier start.  Everything runs on the document's grid.  "Found"
     means the best value is below -TOL_NEG relative to the probe's H^1
-    size.
+    size.  ``budget`` must be an integer from 1 to BUDGET_CAP and ``seed``
+    a non-negative integer (ValueError before anything is sampled).
     """
     p = _validate_p(p)
-    if budget < 1:
-        raise ValueError(f"evaluation budget must be at least 1, got {budget!r}")
+    if not isinstance(budget, numbers.Integral) or not 1 <= budget <= BUDGET_CAP:
+        raise ValueError(f"evaluation budget must be an integer from 1 to {BUDGET_CAP}, got {budget!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"falsifier seed must be a non-negative integer, got {seed!r}")
     grid = Grid.from_spec(spec)
     box = list(zip(grid.lo, grid.hi))
     n = grid.n

@@ -24,7 +24,9 @@ Re A and Im A.  The supremum ratio
 
 controls the full admissible interval of exponents
 [2 + 2 lam (lam - sqrt(lam^2+1)), 2 + 2 lam (lam + sqrt(lam^2+1))],
-whose endpoints are Hoelder conjugate.
+whose endpoints are Hoelder conjugate.  Its closed form
+1 / max |eig(S_i, S_r)| seeds the bracket that ``lambda_nodes`` then
+narrows by bisection against the same PSD test as the p-condition.
 
 The eigenvalue workhorse is LAPACK's symmetric solver (numpy.linalg
 eigh/eigvalsh), which also backs the pseudo-inverse for singular linear
@@ -46,6 +48,7 @@ TOL_ZERO = 1e-12       # zero tests (norms, margins)
 TOL_SYS = 1e-8         # linear system consistency, scaled by 1 + |rhs|
 RANK_TOL = 1e-12       # relative eigenvalue cutoff for pseudo-inverses
 BISECT_RELWIDTH = 1e-12
+SEED_RELWIDTH = 1e-9   # half width of the first bracket around the closed-form ratio
 BRACKET_MAX = 2.0 ** 60
 
 __all__ = [
@@ -250,14 +253,17 @@ def lambda_nodes(d):
 
     Returns (lam, hi), float arrays of the stack's shape: the ratio and
     the upper end of its final bisection bracket.  Each node's ratio is
-    sup { t >= 0 : S_r + t S_i and S_r - t S_i both PSD }, located by
-    bracket doubling from t = 1 and bisection to relative width 1e-12;
-    it is math.inf (and so is hi) when the node's symmetric part of Im A
-    vanishes or no bracket is found below 2^60.  Every step tests the
-    pencils of all nodes still searching in one LAPACK call, and each
-    node takes exactly the steps it would take on its own.  Requires
-    every S_r PSD (NonnegativityError otherwise, since then not even
-    p = 2 is admissible).
+    sup { t >= 0 : S_r + t S_i and S_r - t S_i both PSD to -tol }, with
+    the tolerance of ``p_condition_nodes``.  The search tests the window
+    t0 (1 -+ SEED_RELWIDTH) around the closed-form ratio t0 (t = 1 where
+    that is unusable), doubles a bracket whose top passes, and bisects to
+    relative width BISECT_RELWIDTH: lam passed the test and hi failed it.
+    The ratio is math.inf (and so is hi) when the node's symmetric part
+    of Im A vanishes or no bracket is found below BRACKET_MAX.  Every
+    step tests the pencils of all nodes still searching in one LAPACK
+    call, and each node takes exactly the steps it would take on its
+    own.  Requires every S_r PSD (NonnegativityError otherwise, since
+    then not even p = 2 is admissible).
     """
     n = d.n
     S_r = d.S_r.reshape(-1, n, n)
@@ -273,11 +279,26 @@ def lambda_nodes(d):
     seeing = np.linalg.norm(S_i, axis=(1, 2)) > TOL_ZERO * (1.0 + np.linalg.norm(S_r, axis=(1, 2)))
     nodes = np.flatnonzero(seeing)
     S_r, S_i, tol = S_r[nodes], S_i[nodes], tol[nodes]
-    # feasible at t = 1: bracket [1, 2], doubled while its top is feasible; else [0, 1]
-    up = _pencils_psd(S_r, S_i, tol)
-    lo = np.where(up, 1.0, 0.0)
-    hi = np.where(up, 2.0, 1.0)
-    grow = np.flatnonzero(up)
+    # Seed: min eig(S_r +- t S_i) >= -tol says (S_r + tol I) +- t S_i is PSD,
+    # which holds exactly for t <= t0 = 1 / max |eig(W^T S_i W)| with
+    # W = V (w + tol)^(-1/2) from S_r = V diag(w) V^T.
+    w, V = np.linalg.eigh(S_r)
+    shifted = w + tol[:, None]
+    definite = (shifted > 0.0).all(axis=1)
+    W = V / np.sqrt(np.where(definite[:, None], shifted, 1.0))[:, None, :]
+    with np.errstate(divide="ignore"):
+        t0 = 1.0 / np.abs(np.linalg.eigvalsh(W.swapaxes(1, 2) @ S_i @ W)).max(axis=1)
+    # no usable seed: start at t = 1 with a window of zero width
+    seeded = definite & (t0 > 0.0) & (t0 <= 0.5 * BRACKET_MAX)
+    t0 = np.where(seeded, t0, 1.0)
+    rel = np.where(seeded, SEED_RELWIDTH, 0.0)
+    lo0, hi0 = t0 * (1.0 - rel), t0 * (1.0 + rel)
+    # both ends of the window in one call: the bracket is the window when it
+    # straddles the edge, [0, lo0] below it, and [hi0, 2 hi0] doubled above it
+    lo_ok, hi_ok = _pencils_psd(S_r, np.stack((lo0, hi0))[..., None, None] * S_i, tol)
+    lo = np.where(hi_ok, hi0, np.where(lo_ok, lo0, 0.0))
+    hi = np.where(hi_ok, 2.0 * hi0, np.where(lo_ok, hi0, lo0))
+    grow = np.flatnonzero(hi_ok)
     while grow.size:
         grow = grow[_pencils_psd(S_r[grow], hi[grow][:, None, None] * S_i[grow], tol[grow])]
         lo[grow] = hi[grow]

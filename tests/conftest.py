@@ -95,14 +95,9 @@ def seeded_matrices(count=200, seed=1234, dims=(1, 2, 3, 5), allow_zero_im=True)
     return mats
 
 
-def lam_bracket_oracle(S_r, S_i):
-    """Bisection for the admissible pencil ratio using numpy eigenvalues.
-
-    The tolerance and the pencil eigenvalues come from numpy directly,
-    not through ``pointwise``; same tolerance semantics.  Returns
-    (lam, hi): the ratio and the upper end of its final bracket, both inf
-    when the ratio is.
-    """
+def pencil_oracle(S_r, S_i):
+    """The PSD test of the pencils S_r +- t S_i from numpy eigenvalues,
+    and its tolerance (numpy directly, not through ``pointwise``)."""
     tol = TOL_PSD * (1.0 + np.abs(np.linalg.eigvalsh(S_r)).sum())
 
     def feasible(t):
@@ -111,17 +106,11 @@ def lam_bracket_oracle(S_r, S_i):
             and np.linalg.eigvalsh(S_r - t * S_i).min() >= -tol
         )
 
-    if np.linalg.norm(S_i) == 0.0:
-        return math.inf, math.inf
-    if feasible(1.0):
-        lo, hi = 1.0, 2.0
-        while feasible(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > 2.0**60:
-                return math.inf, math.inf
-    else:
-        lo, hi = 0.0, 1.0
+    return feasible, tol
+
+
+def _bisect(feasible, lo, hi):
+    """Halve [lo, hi] down to the relative width of ``lambda_nodes``."""
     while hi - lo > 1e-12 * (1.0 + hi):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -129,6 +118,59 @@ def lam_bracket_oracle(S_r, S_i):
         else:
             hi = mid
     return lo, hi
+
+
+def _doubled(feasible, lo, hi):
+    """Double a bracket whose lower end is feasible until its top is not,
+    then bisect it; (inf, inf) once the top passes 2^60."""
+    while feasible(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > 2.0**60:
+            return math.inf, math.inf
+    return _bisect(feasible, lo, hi)
+
+
+def lam_bracket_oracle(S_r, S_i):
+    """The admissible pencil ratio of one matrix, as ``lambda_nodes``
+    finds it, from numpy eigenvalues of that matrix alone.
+
+    The first bracket is the window (1 -+ 1e-9) t0 around the closed-form
+    ratio t0 = 1 / max |eig(W^T S_i W)|, W = V (w + tol)^(-1/2) from
+    ``eigh(S_r)``; [0, lo0] when both ends fail and [hi0, 2 hi0], doubled,
+    when the top passes.  Without a positive seed up to 2^59 the window
+    is the single point t = 1.  Returns (lam, hi): the ratio and the
+    upper end of its final bracket, both inf when the ratio is.
+    """
+    feasible, tol = pencil_oracle(S_r, S_i)
+    if np.linalg.norm(S_i) == 0.0:
+        return math.inf, math.inf
+    w, V = np.linalg.eigh(S_r)
+    t0, rel = 1.0, 0.0
+    if (w + tol > 0.0).all():
+        W = V / np.sqrt(w + tol)
+        with np.errstate(divide="ignore"):
+            seed = 1.0 / np.abs(np.linalg.eigvalsh(W.T @ S_i @ W)).max()
+        if 0.0 < seed <= 2.0**59:
+            t0, rel = seed, 1e-9
+    lo0, hi0 = t0 * (1.0 - rel), t0 * (1.0 + rel)
+    if feasible(hi0):
+        return _doubled(feasible, hi0, 2.0 * hi0)
+    if feasible(lo0):
+        return _bisect(feasible, lo0, hi0)
+    return _bisect(feasible, 0.0, lo0)
+
+
+def lam_doubling_oracle(S_r, S_i):
+    """The ratio by the earlier search from t = 1 (numpy): [1, 2] doubled
+    while its top is feasible, else [0, 1], then bisection.  Returns
+    (lam, hi) as ``lam_bracket_oracle`` does."""
+    feasible, _ = pencil_oracle(S_r, S_i)
+    if np.linalg.norm(S_i) == 0.0:
+        return math.inf, math.inf
+    if feasible(1.0):
+        return _doubled(feasible, 1.0, 2.0)
+    return _bisect(feasible, 0.0, 1.0)
 
 
 def lam_oracle(S_r, S_i):

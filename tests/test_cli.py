@@ -82,6 +82,34 @@ class TestExitCodes:
         assert "budget" in err
         assert out == ""
 
+    @pytest.mark.parametrize("option,value,named", [
+        ("--budget", str(formcheck.BUDGET_CAP + 1), "budget"),
+        ("--budget", "10000000000", "budget"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_falsifier_budget_above_the_cap_or_negative_seed(self, monkeypatch, option, value, named):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the falsifier started on an invalid input")
+
+        for name in ("sample_operator", "_make_starts"):
+            monkeypatch.setattr(formcheck, name, unreachable)
+        code, out, err = run_cli("falsify", preset("example2"), "--p", "2", option, value)
+        assert code == 2
+        assert err.startswith("error:")
+        assert named in err
+        assert out == ""
+
+    def test_falsifier_budget_at_the_cap_is_accepted(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(formcheck, "_make_starts", reached)
+        with pytest.raises(Reached):
+            run_cli("falsify", preset("example2"), "--p", "2", "--budget", str(formcheck.BUDGET_CAP))
+
     @pytest.mark.parametrize("err,shown", [
         (MemoryError("Unable to allocate 8.00 GiB"), "error: Unable to allocate 8.00 GiB\n"),
         (MemoryError(), "error: MemoryError\n"),
@@ -360,6 +388,9 @@ class TestInterval:
         payload = json_out("interval", preset("example3"), "--format", "json")
         assert payload["numbers"]["nodes"] == 1
         assert payload["numbers"]["p_max"] == pytest.approx(4.0, abs=1e-6)
+        # example 3 sits on p = 4, where check holds: the interval keeps it
+        assert payload["numbers"]["p_max"] >= 4.0
+        assert json_out("check", preset("example3"), "--p", "4", "--format", "json")["verdict"]["decision"] is True
 
 
 class TestConstant:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dissipate import formcheck
 from dissipate import (
     Grid,
     GridFunction,
@@ -18,6 +19,7 @@ from dissipate import (
 )
 from dissipate.cli import load_preset
 from dissipate.formcheck import (
+    BUDGET_CAP,
     TOL_NEG,
     FormEvaluator,
     _broadcast_axes,
@@ -366,6 +368,18 @@ class TestRouteAgreement:
         assert math.isfinite(operator_form(spec, u, 1.5))
 
 
+class _Reached(Exception):
+    """Raised by a stub where the falsifier starts its work."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the falsifier started on an invalid input")
+
+
 class TestFalsifier:
     def test_finds_the_negative_window(self):
         spec = spec_from_dict(load_preset("example2"))
@@ -402,6 +416,28 @@ class TestFalsifier:
         spec = spec_from_dict(load_preset("example2"))
         with pytest.raises(ValueError, match="budget"):
             falsify(spec, 2.0, budget=budget, seed=0)
+
+    @pytest.mark.parametrize("budget", [BUDGET_CAP + 1, 10**10, 300.0, "300", None])
+    def test_budget_above_the_cap_or_not_an_integer_is_rejected(self, monkeypatch, budget):
+        monkeypatch.setattr(formcheck, "FormEvaluator", _unreachable)
+        spec = spec_from_dict(load_preset("example2"))
+        with pytest.raises(ValueError, match="budget"):
+            falsify(spec, 2.0, budget=budget, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, monkeypatch, seed):
+        monkeypatch.setattr(formcheck, "FormEvaluator", _unreachable)
+        spec = spec_from_dict(load_preset("example2"))
+        with pytest.raises(ValueError, match="seed"):
+            falsify(spec, 2.0, budget=40, seed=seed)
+
+    @pytest.mark.parametrize("budget,seed", [(BUDGET_CAP, 0), (1, np.int64(3)), (np.int64(BUDGET_CAP), 2**70)])
+    def test_the_cap_and_integer_seeds_are_accepted(self, monkeypatch, budget, seed):
+        # the search stops where it would build its starts
+        monkeypatch.setattr(formcheck, "_make_starts", _reached)
+        spec = spec_from_dict(load_preset("example2"))
+        with pytest.raises(_Reached):
+            falsify(spec, 2.0, budget=budget, seed=seed)
 
     def test_threshold_is_relative_to_the_probe_size(self):
         spec = spec_from_dict(load_preset("example1"))

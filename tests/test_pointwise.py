@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dissipate import pointwise
 from dissipate import (
     NonnegativityError,
     SymDecomp,
@@ -18,6 +19,7 @@ from dissipate import (
     q_sufficiency,
 )
 from dissipate.pointwise import (
+    BISECT_RELWIDTH,
     _validate_p,
     lambda_nodes,
     p_condition_nodes,
@@ -27,7 +29,9 @@ from dissipate.pointwise import (
 
 from conftest import (
     lam_bracket_oracle,
+    lam_doubling_oracle,
     lam_oracle,
+    pencil_oracle,
     p_condition_oracle,
     pinch_oracle,
     seeded_matrices,
@@ -288,15 +292,19 @@ def node_stack(n, seed, count=60):
     return np.stack(seeded_matrices(count=count, seed=seed, dims=(n,)))
 
 
+def wide_stack(n):
+    """``node_stack`` with a wide spread of ratios: some nodes with a small
+    Im part (ratio above one), some with a large one."""
+    A = node_stack(n, seed=100 + n)
+    return A.real + 1j * A.imag * np.geomspace(0.05, 20.0, len(A))[:, None, None]
+
+
 class TestNodeKernels:
     """The node-batched bisection and p-condition against per-node oracles."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_ratio_and_bracket_equal_the_oracle_at_every_node(self, n):
-        A = node_stack(n, seed=100 + n)
-        # widen the spread: some nodes with a small Im part (ratio above
-        # one, reached by bracket doubling), some with a large one
-        A = A.real + 1j * A.imag * np.geomspace(0.05, 20.0, len(A))[:, None, None]
+        A = wide_stack(n)
         d = decompose(A)
         lam, hi = lambda_nodes(d)
         assert lam.shape == hi.shape == (len(A),)
@@ -351,6 +359,53 @@ class TestNodeKernels:
         assert lam[0] == pytest.approx(0.5, abs=1e-8)
         assert math.isinf(lam[1]) and math.isinf(hi[1])
         assert lam[2] == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_seeded_ratio_stays_within_a_bracket_of_the_doubling_search(self, n):
+        d = decompose(wide_stack(n))
+        lam, _ = lambda_nodes(d)
+        old = np.array([lam_doubling_oracle(d.S_r[j], d.S_i[j])[0] for j in range(len(lam))])
+        assert np.array_equal(np.isinf(lam), np.isinf(old))
+        finite = np.isfinite(old)
+        drift = np.abs(lam[finite] - old[finite])
+        assert (drift <= 2.0 * BISECT_RELWIDTH * (1.0 + old[finite])).all()
+
+    @pytest.mark.parametrize("bracket_max", [None, 4.0])
+    def test_ratio_passes_and_bracket_top_fails_the_pencil_test(self, monkeypatch, bracket_max):
+        if bracket_max is not None:
+            monkeypatch.setattr("dissipate.pointwise.BRACKET_MAX", bracket_max)
+        zero_ratio = np.diag([1.0, 0.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        # singular S_r on a zero-ratio pencil, S_i = 0 and a ratio of 10
+        special = np.stack([zero_ratio, np.diag([1.0, 2.0]).astype(complex), np.eye(2) + 0.1j * np.eye(2)])
+        A = np.concatenate([wide_stack(2), special])
+        d = decompose(A)
+        lam, hi = lambda_nodes(d)
+        assert np.isinf(lam[-2]) and np.isinf(hi[-2])
+        assert np.isinf(lam[-1]) == (bracket_max is not None)
+        assert 0.0 <= lam[-3] <= 2e-5
+        for j in np.flatnonzero(np.isfinite(lam)):
+            feasible, _ = pencil_oracle(d.S_r[j], d.S_i[j])
+            assert feasible(lam[j]) and not feasible(hi[j])
+        assert np.isinf(hi[np.isinf(lam)]).all()
+
+    @pytest.mark.parametrize("A,ratio", [
+        ((1.0 + 1.0j) * np.eye(2), 1.0),
+        (np.eye(2) + 0.3j * np.diag([1.0, -0.5]), 1.0 / 0.3),
+        # singular S_r: the zero-ratio pencil of TestLambda
+        (np.diag([1.0, 0.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0),
+    ])
+    def test_a_single_matrix_takes_few_pencil_calls(self, monkeypatch, A, ratio):
+        calls = []
+        pencils_psd = pointwise._pencils_psd
+
+        def counted(*args):
+            calls.append(args)
+            return pencils_psd(*args)
+
+        monkeypatch.setattr(pointwise, "_pencils_psd", counted)
+        res = lambda_of(decompose(A))
+        assert res.lam == pytest.approx(ratio, abs=2e-5)
+        assert len(calls) <= 15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_p_condition_equals_the_oracle_at_every_node(self, n):
