@@ -178,14 +178,24 @@ def _cmd_interval(args):
     return report, 0
 
 
+def _constant_sections(sam, p):
+    """Verdict, numbers and witness of the constant coefficient decision
+    on the single-node samples of a constant operator."""
+    b_eff = sam.b[0] + sam.c[0]  # constant c acts as a drift: div(c u) = c . grad u
+    v = constant_coeff_verdict(sam.A[0], b_eff, sam.a[0], p)
+    verdict = {"decision": v.ok, "criterion": "const_coeff", "reason": v.reason}
+    numbers = {"margin": v.margin, "corollary_margin": v.corollary_margin, "residual": v.residual}
+    witness = {"V": list(v.V)} if v.V is not None else None
+    return verdict, numbers, witness
+
+
 def _cmd_constant(args):
     spec, digest = _load(args.spec)
     p = _validate_p(args.p)
     if not spec.is_constant:
         raise SpecError("$", "constant verdict needs constant coefficients")
     sam, _ = _field_samples(spec)
-    b_eff = sam.b[0] + sam.c[0]  # constant c acts as a drift: div(c u) = c . grad u
-    v = constant_coeff_verdict(sam.A[0], b_eff, sam.a[0], p)
+    verdict, numbers, witness = _constant_sections(sam, p)
     notes = ()
     if np.any(sam.c[0] != 0.0):
         notes = ("constant c folded into the drift term",)
@@ -193,17 +203,9 @@ def _cmd_constant(args):
         command="constant",
         spec=digest,
         inputs={"p": p},
-        verdict={
-            "decision": v.ok,
-            "criterion": "const_coeff",
-            "reason": v.reason,
-        },
-        numbers={
-            "margin": v.margin,
-            "corollary_margin": v.corollary_margin,
-            "residual": v.residual,
-        },
-        witness={"V": list(v.V)} if v.V is not None else None,
+        verdict=verdict,
+        numbers=numbers,
+        witness=witness,
         notes=notes,
     )
     return report, 0
@@ -233,6 +235,16 @@ def _cmd_sufficiency(args):
     return report, 0
 
 
+def _falsify_witness(res):
+    """Witness section of a falsifier result: the probe that went negative."""
+    return {
+        "family": res.family,
+        "family_name": _FAMILY_NAMES[res.family],
+        "start_index": res.start_index,
+        "params": res.params,
+    }
+
+
 def _cmd_falsify(args):
     spec, digest = _load(args.spec)
     p = _validate_p(args.p)
@@ -243,14 +255,6 @@ def _cmd_falsify(args):
     }
     if not res.found:
         verdict["qualifier"] = "no-counterexample-found"
-    witness = None
-    if res.found:
-        witness = {
-            "family": res.family,
-            "family_name": _FAMILY_NAMES[res.family],
-            "start_index": res.start_index,
-            "params": res.params,
-        }
     report = Report(
         command="falsify",
         spec=digest,
@@ -261,7 +265,7 @@ def _cmd_falsify(args):
             "threshold": res.threshold,
             "evaluations": int(res.evaluations),
         },
-        witness=witness,
+        witness=_falsify_witness(res) if res.found else None,
     )
     return report, 0
 
@@ -358,27 +362,17 @@ def _example_quasi_only(spec, digest):
         "falsify_evaluations": int(fr.evaluations),
     }
     witness = None
-    omega = None
-    noninc = None
     if fr.found:
-        op = discretize(spec)
-        trace = evolve(op, fr.witness, dt=1e-4, t_end=0.02, p=2.0)
-        omega = estimate_omega(trace)
-        noninc = trace.nonincreasing(per_step_tol=1e-10)
+        trace = evolve(discretize(spec), fr.witness, dt=1e-4, t_end=0.02, p=2.0)
         numbers.update(
             {
-                "omega_estimate": omega,
-                "nonincreasing": noninc,
+                "omega_estimate": estimate_omega(trace),
+                "nonincreasing": trace.nonincreasing(per_step_tol=1e-10),
                 "norm_initial": float(trace.norms[0]),
                 "norm_final": float(trace.norms[-1]),
             }
         )
-        witness = {
-            "family": fr.family,
-            "family_name": _FAMILY_NAMES[fr.family],
-            "start_index": fr.start_index,
-            "params": fr.params,
-        }
+        witness = _falsify_witness(fr)
     return Report(
         command="examples",
         spec=digest,
@@ -402,28 +396,17 @@ def _example_constant_endpoint(spec, digest):
     """Constant coefficients sitting exactly on the admissibility edge at p = 4."""
     p = 4.0
     sam, _ = _field_samples(spec)
-    b_eff = sam.b[0] + sam.c[0]
-    v = constant_coeff_verdict(sam.A[0], b_eff, sam.a[0], p)
+    verdict, numbers, witness = _constant_sections(sam, p)
     res = lambda_of(decompose(sam.A[0]))
     itv = p_interval(res)
+    numbers.update({"lambda": res.lam, "p_min": itv.p_min, "p_max": itv.p_max})
     return Report(
         command="examples",
         spec=digest,
         inputs={"id": 3, "p": p},
-        verdict={
-            "decision": v.ok,
-            "criterion": "const_coeff",
-            "reason": v.reason,
-        },
-        numbers={
-            "margin": v.margin,
-            "corollary_margin": v.corollary_margin,
-            "residual": v.residual,
-            "lambda": res.lam,
-            "p_min": itv.p_min,
-            "p_max": itv.p_max,
-        },
-        witness={"V": list(v.V)} if v.V is not None else None,
+        verdict=verdict,
+        numbers=numbers,
+        witness=witness,
         notes=("both verdict clauses sit at exact equality for p = 4",),
     )
 

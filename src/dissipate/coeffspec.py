@@ -4,7 +4,7 @@ An operator is described by a JSON document holding, for each coefficient
 (matrix A, drift vectors b and c, zero order term a), a pair of real
 expression strings ("re"/"im") in the variables x1..xn.  This module owns
 
-  * the small expression language (parser, evaluator, printer),
+  * the small expression language (parser and evaluator),
   * loading and validating the JSON document into an OperatorSpec,
   * sampling all coefficient fields (and the divergences of b and c,
     by clipped central differences) at arbitrary points of the box.
@@ -40,7 +40,6 @@ __all__ = [
     "EvalDomainError",
     "SpecError",
     "parse_expr",
-    "format_expr",
     "expr_is_zero",
     "expr_is_constant",
     "bump",
@@ -101,12 +100,6 @@ class Num:
 
     def ev(self, xs):
         return np.full_like(xs[0], self.value) if xs else np.float64(self.value)
-
-
-@dataclass(frozen=True)
-class Pi:
-    def ev(self, xs):
-        return np.full_like(xs[0], math.pi) if xs else np.float64(math.pi)
 
 
 @dataclass(frozen=True)
@@ -339,7 +332,7 @@ class _Parser:
             return node
         if kind == _T_IDENT:
             if val == "pi":
-                return Pi()
+                return Num(math.pi)
             if val in FUNCTIONS:
                 k2, v2, o2 = self.peek()
                 if not (k2 == _T_OP and v2 == "("):
@@ -367,48 +360,6 @@ def parse_expr(text):
     return _Parser(text).parse()
 
 
-# ----------------------------------------------------------------------
-# printer
-
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_UNARY = 3
-_LEVEL_POW = 4
-_LEVEL_ATOM = 5
-
-
-def _fmt(node, want):
-    if isinstance(node, Num):
-        s = repr(node.value)
-        level = _LEVEL_ATOM
-    elif isinstance(node, Pi):
-        s, level = "pi", _LEVEL_ATOM
-    elif isinstance(node, Var):
-        s, level = f"x{node.index}", _LEVEL_ATOM
-    elif isinstance(node, Call):
-        s, level = f"{node.func}({_fmt(node.arg, _LEVEL_ADD)})", _LEVEL_ATOM
-    elif isinstance(node, Neg):
-        s, level = f"-{_fmt(node.child, _LEVEL_POW)}", _LEVEL_UNARY
-    else:
-        if node.op in "+-":
-            level = _LEVEL_ADD
-            s = f"{_fmt(node.left, level)} {node.op} {_fmt(node.right, level + 1)}"
-        elif node.op in "*/":
-            level = _LEVEL_MUL
-            s = f"{_fmt(node.left, level)}{node.op}{_fmt(node.right, level + 1)}"
-        else:
-            level = _LEVEL_POW
-            s = f"{_fmt(node.left, _LEVEL_ATOM)}^{_fmt(node.right, _LEVEL_UNARY)}"
-    if level < want:
-        return f"({s})"
-    return s
-
-
-def format_expr(node):
-    """Render a tree back to a string that reparses to the same tree."""
-    return _fmt(node, _LEVEL_ADD)
-
-
 def expr_is_zero(node):
     """Structural zero test (literal 0, possibly negated)."""
     while isinstance(node, Neg):
@@ -416,17 +367,22 @@ def expr_is_zero(node):
     return isinstance(node, Num) and node.value == 0.0
 
 
+def _max_var_index(node):
+    """Largest variable index in the tree, 0 when it has no variable."""
+    if isinstance(node, Var):
+        return node.index
+    if isinstance(node, Neg):
+        return _max_var_index(node.child)
+    if isinstance(node, Bin):
+        return max(_max_var_index(node.left), _max_var_index(node.right))
+    if isinstance(node, Call):
+        return _max_var_index(node.arg)
+    return 0
+
+
 def expr_is_constant(node):
     """True when the tree references no variable."""
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Neg):
-        return expr_is_constant(node.child)
-    if isinstance(node, Bin):
-        return expr_is_constant(node.left) and expr_is_constant(node.right)
-    if isinstance(node, Call):
-        return expr_is_constant(node.arg)
-    return True
+    return _max_var_index(node) == 0
 
 
 # ----------------------------------------------------------------------
@@ -457,8 +413,9 @@ class ComplexField:
 _ZERO = Num(0.0)
 
 
-def _parse_entry(raw, path):
-    """Build a ComplexField from a JSON {"re": ..., "im": ...} object."""
+def _parse_entry(raw, path, n):
+    """Build a ComplexField from a JSON {"re": ..., "im": ...} object; a
+    missing part is zero, and each part may only reference x1..xn."""
     if not isinstance(raw, dict):
         raise SpecError(path, "expected an object with 're'/'im' keys")
     extra = set(raw) - {"re", "im"}
@@ -466,30 +423,24 @@ def _parse_entry(raw, path):
         raise SpecError(path, f"unknown keys {sorted(extra)}")
     parts = {}
     for key in ("re", "im"):
-        val = raw.get(key, "0")
-        if isinstance(val, bool):
-            raise SpecError(f"{path}.{key}", "expected a string or number")
-        if isinstance(val, (int, float)):
-            val = repr(float(val))
+        if key not in raw:
+            parts[key] = _ZERO
+            continue
+        where = f"{path}.{key}"
+        val = raw[key]
+        if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+            raise SpecError(where, "expected a string or number")
         if not isinstance(val, str):
-            raise SpecError(f"{path}.{key}", "expected a string or number")
+            val = repr(float(val))
         try:
-            parts[key] = parse_expr(val)
+            node = parse_expr(val)
         except ExprError as err:
-            raise SpecError(f"{path}.{key}", str(err)) from err
+            raise SpecError(where, str(err)) from err
+        idx = _max_var_index(node)
+        if idx > n:
+            raise SpecError(where, f"references x{idx} but n = {n}")
+        parts[key] = node
     return ComplexField(parts["re"], parts["im"])
-
-
-def _max_var_index(node):
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Neg):
-        return _max_var_index(node.child)
-    if isinstance(node, Bin):
-        return max(_max_var_index(node.left), _max_var_index(node.right))
-    if isinstance(node, Call):
-        return _max_var_index(node.arg)
-    return 0
 
 
 @dataclass(frozen=True)
@@ -577,7 +528,7 @@ def spec_from_dict(doc):
         if not isinstance(row, list) or len(row) != n:
             raise SpecError(f"$.A[{i}]", f"expected {n} entries")
         rows.append(
-            tuple(_parse_entry(entry, f"$.A[{i}][{j}]") for j, entry in enumerate(row))
+            tuple(_parse_entry(entry, f"$.A[{i}][{j}]", n) for j, entry in enumerate(row))
         )
 
     def _vector(key):
@@ -587,17 +538,17 @@ def spec_from_dict(doc):
         if not isinstance(vec, list) or len(vec) != n:
             raise SpecError(f"$.{key}", f"expected {n} entries")
         return tuple(
-            _parse_entry(entry, f"$.{key}[{k}]") for k, entry in enumerate(vec)
+            _parse_entry(entry, f"$.{key}[{k}]", n) for k, entry in enumerate(vec)
         )
 
     b = _vector("b")
     c = _vector("c")
     if "a" in doc:
-        a = _parse_entry(doc["a"], "$.a")
+        a = _parse_entry(doc["a"], "$.a", n)
     else:
         a = ComplexField(_ZERO, _ZERO)
 
-    spec = OperatorSpec(
+    return OperatorSpec(
         n=n,
         domain=tuple(domain),
         grid=tuple(grid),
@@ -606,22 +557,6 @@ def spec_from_dict(doc):
         c=c,
         a=a,
     )
-
-    # every expression may only reference x1..xn
-    def _check_vars(field, where):
-        for part, tag in ((field.re, "re"), (field.im, "im")):
-            idx = _max_var_index(part)
-            if idx > n:
-                raise SpecError(f"{where}.{tag}", f"references x{idx} but n = {n}")
-
-    for i in range(n):
-        for j in range(n):
-            _check_vars(spec.A[i][j], f"$.A[{i}][{j}]")
-    for k in range(n):
-        _check_vars(spec.b[k], f"$.b[{k}]")
-        _check_vars(spec.c[k], f"$.c[{k}]")
-    _check_vars(spec.a, "$.a")
-    return spec
 
 
 def load_doc(path):

@@ -368,7 +368,6 @@ class PInterval:
     lam: float
     p_min: float
     p_max: float
-    witness_xi: np.ndarray | None = None
 
     @property
     def is_full(self):
@@ -382,19 +381,16 @@ class PInterval:
 
 def p_interval(lam_result):
     """Admissible exponent interval from the ratio lam (or a LambdaResult)."""
-    if isinstance(lam_result, LambdaResult):
-        lam, xi = lam_result.lam, lam_result.witness_xi
-    else:
-        lam, xi = float(lam_result), None
+    lam = lam_result.lam if isinstance(lam_result, LambdaResult) else float(lam_result)
     if lam < 0.0:
         raise ValueError("ratio must be nonnegative")
     if math.isinf(lam):
-        return PInterval(lam=math.inf, p_min=1.0, p_max=math.inf, witness_xi=None)
+        return PInterval(lam=math.inf, p_min=1.0, p_max=math.inf)
     root = math.sqrt(lam * lam + 1.0)
     # 2 lam (lam - root) written without cancellation
     p_min = 2.0 - 2.0 * lam / (lam + root)
     p_max = 2.0 + 2.0 * lam * (lam + root)
-    return PInterval(lam=lam, p_min=p_min, p_max=p_max, witness_xi=xi)
+    return PInterval(lam=lam, p_min=p_min, p_max=p_max)
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +432,12 @@ def q_sufficiency(A, b, c, a, div_b, div_c, p, alpha=0.0, beta=0.0):
     A of shape (..., n, n), b and c of shape (..., n), and a, div_b and
     div_c of shape (...).  A nonnegative quadratic-plus-linear form is
     certified by eigenvalue checks and a pseudo-inverse completed square.
+    The splitting weights alpha and beta must be finite.
     """
     p = _validate_p(p)
+    for name, weight in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(weight):
+            raise ValueError(f"splitting weight {name} must be finite, got {weight!r}")
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
     b = np.asarray(b, dtype=complex).reshape(A.shape[:-1])

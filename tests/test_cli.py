@@ -436,6 +436,14 @@ class TestSufficiency:
         assert payload["inputs"]["beta"] == 0.25
         assert payload["verdict"]["decision"] is True
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--alpha", "--beta"])
+    def test_a_non_finite_weight_exits_two(self, option, value):
+        # "--alpha=-inf": a separate "-inf" would read as an option
+        code, out, err = run_cli("sufficiency", preset("example2"), "--p", "2", f"{option}={value}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: splitting weight {option[2:]} must be finite, got {float(value)!r}\n"
 
     @pytest.mark.parametrize("im12", ["3*x1^2", "0.5*x1^2"])
     def test_field_with_lower_order_terms_matches_a_per_node_loop(self, tmp_path, im12):

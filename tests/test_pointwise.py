@@ -568,6 +568,19 @@ class TestQSufficiency:
             assert getattr(q, name).shape == (4, 6)
             np.testing.assert_array_equal(getattr(q, name).reshape(-1), getattr(flat, name))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_a_non_finite_weight_fails_before_any_lapack_call(self, monkeypatch, name, value):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started on a non-finite weight")
+
+        monkeypatch.setattr(pointwise, "decompose", unreachable)
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        monkeypatch.setattr(np.linalg, "eigh", unreachable)
+        zero = np.zeros(2)
+        with pytest.raises(ValueError, match=f"splitting weight {name} must be finite"):
+            q_sufficiency(np.eye(2), zero, zero, 0.0, 0.0, 0.0, 2.0, **{name: value})
+
     def test_a_single_matrix_returns_python_scalars(self):
         zero = np.zeros(2)
         for A in (np.eye(2), skew2(3.0)):
