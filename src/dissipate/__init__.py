@@ -1,7 +1,11 @@
 """Dissipativity analysis of scalar second order operators in divergence
 form with complex coefficients, on a Lebesgue scale of exponents.
 
-The package splits into small layers:
+The package exports the entry points of the library: ``spec_from_dict``
+(an operator document), ``decompose``, ``lambda_of`` and ``p_interval``
+(the ratio and the admissible exponent interval of a matrix or a stack
+of them) and ``falsify`` (the counterexample search).  Everything else
+is imported from the module that defines it:
 
 * :mod:`dissipate.coeffspec`: JSON operator documents and the expression
   language for coefficient fields.
@@ -18,105 +22,9 @@ The package splits into small layers:
   and the command line front end.
 """
 
-from .coeffspec import (
-    ComplexField,
-    EvalDomainError,
-    ExprError,
-    OperatorSpec,
-    SampledOperator,
-    SpecError,
-    bump,
-    load_spec,
-    sample_operator,
-    spec_from_dict,
-)
-from .formcheck import (
-    FalsifyResult,
-    FormEvaluator,
-    GradientSplit,
-    equivalence_gap,
-    falsify,
-    form_direct,
-    form_transformed,
-    gradient_split,
-    operator_form,
-)
-from .grids import Grid, GridFunction
-from .pointwise import (
-    ConstVerdict,
-    LambdaResult,
-    NonnegativityError,
-    PInterval,
-    QSufficiency,
-    SymDecomp,
-    check_p_condition,
-    constant_coeff_verdict,
-    decompose,
-    jacobi_eigh,
-    lambda_nodes,
-    lambda_of,
-    min_eigenvalue,
-    p_condition_nodes,
-    p_interval,
-    q_sufficiency,
-)
-from .report import Report, render_report, spec_digest
-from .semigroup import (
-    DiscreteOperator,
-    NormTrace,
-    discretize,
-    estimate_omega,
-    evolve,
-    lp_norm,
-)
+from .coeffspec import spec_from_dict
+from .formcheck import falsify
+from .pointwise import decompose, lambda_of, p_interval
 from .version import __version__
 
-__all__ = [
-    "__version__",
-    "ComplexField",
-    "EvalDomainError",
-    "ExprError",
-    "OperatorSpec",
-    "SampledOperator",
-    "SpecError",
-    "bump",
-    "load_spec",
-    "sample_operator",
-    "spec_from_dict",
-    "FalsifyResult",
-    "FormEvaluator",
-    "GradientSplit",
-    "equivalence_gap",
-    "falsify",
-    "form_direct",
-    "form_transformed",
-    "gradient_split",
-    "operator_form",
-    "Grid",
-    "GridFunction",
-    "ConstVerdict",
-    "LambdaResult",
-    "NonnegativityError",
-    "PInterval",
-    "QSufficiency",
-    "SymDecomp",
-    "check_p_condition",
-    "constant_coeff_verdict",
-    "decompose",
-    "jacobi_eigh",
-    "lambda_nodes",
-    "lambda_of",
-    "min_eigenvalue",
-    "p_condition_nodes",
-    "p_interval",
-    "q_sufficiency",
-    "Report",
-    "render_report",
-    "spec_digest",
-    "DiscreteOperator",
-    "NormTrace",
-    "discretize",
-    "estimate_omega",
-    "evolve",
-    "lp_norm",
-]
+__all__ = ["__version__", "decompose", "falsify", "lambda_of", "p_interval", "spec_from_dict"]

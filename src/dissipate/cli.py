@@ -151,7 +151,7 @@ def _cmd_interval(args):
     sam, pts = _field_samples(spec)
     res = lambda_of(decompose(sam.A))
     lam = res.lam
-    itv = p_interval(res)
+    itv = p_interval(lam)
     witness = None
     if res.witness_xi is not None:
         witness = {"xi": list(res.witness_xi)}
@@ -398,7 +398,7 @@ def _example_constant_endpoint(spec, digest):
     sam, _ = _field_samples(spec)
     verdict, numbers, witness = _constant_sections(sam, p)
     res = lambda_of(decompose(sam.A[0]))
-    itv = p_interval(res)
+    itv = p_interval(res.lam)
     numbers.update({"lambda": res.lam, "p_min": itv.p_min, "p_max": itv.p_max})
     return Report(
         command="examples",

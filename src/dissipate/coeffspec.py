@@ -46,7 +46,6 @@ __all__ = [
     "ComplexField",
     "OperatorSpec",
     "load_doc",
-    "load_spec",
     "spec_from_dict",
     "SampledOperator",
     "sample_operator",
@@ -413,6 +412,19 @@ class ComplexField:
 _ZERO = Num(0.0)
 
 
+def _finite(val, path):
+    """A JSON number as a float, rejected at path unless it is finite:
+    JSON reads 1e400 as inf, and an integer beyond the float range has
+    no float at all."""
+    try:
+        x = float(val)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SpecError(path, "number is not finite")
+    return x
+
+
 def _parse_entry(raw, path, n):
     """Build a ComplexField from a JSON {"re": ..., "im": ...} object; a
     missing part is zero, and each part may only reference x1..xn."""
@@ -431,7 +443,7 @@ def _parse_entry(raw, path, n):
         if isinstance(val, bool) or not isinstance(val, (int, float, str)):
             raise SpecError(where, "expected a string or number")
         if not isinstance(val, str):
-            val = repr(float(val))
+            val = repr(_finite(val, where))
         try:
             node = parse_expr(val)
         except ExprError as err:
@@ -504,8 +516,8 @@ def spec_from_dict(doc):
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise SpecError(p, "expected [lo, hi]")
-        lo, hi = float(pair[0]), float(pair[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+        lo, hi = (_finite(v, f"{p}[{j}]") for j, v in enumerate(pair))
+        if not lo < hi:
             raise SpecError(p, "need finite lo < hi")
         domain.append((lo, hi))
 
@@ -571,11 +583,6 @@ def load_doc(path):
         return json.loads(raw)
     except json.JSONDecodeError as err:
         raise SpecError("$", f"not valid JSON: {err}") from err
-
-
-def load_spec(path):
-    """Read and validate an operator document from a JSON file."""
-    return spec_from_dict(load_doc(path))
 
 
 # ----------------------------------------------------------------------

@@ -93,14 +93,12 @@ def _check_symmetric(S):
 
 @dataclass(frozen=True)
 class SymDecomp:
-    """Symmetric/skew split of the real and imaginary parts of a matrix,
-    or of every matrix of a stack (each part then has shape (..., n, n)).
+    """Symmetric parts of the real and imaginary parts of a matrix, or of
+    every matrix of a stack (each part then has shape (..., n, n)).
     S_r and S_i are checked as ``jacobi_eigh`` checks its input."""
 
     S_r: np.ndarray
-    K_r: np.ndarray
     S_i: np.ndarray
-    K_i: np.ndarray
 
     def __post_init__(self):
         _check_symmetric(np.stack((self.S_r, self.S_i)))
@@ -111,20 +109,17 @@ class SymDecomp:
 
 
 def decompose(A):
-    """Split complex A, one matrix or a stack of shape (..., n, n), into
-    the symmetric/skew parts of Re A and Im A, matrix by matrix."""
+    """The symmetric parts of Re A and Im A for complex A, one matrix or
+    a stack of shape (..., n, n), matrix by matrix.  The skew parts are
+    dropped: they do not enter <A xi, xi> for real xi."""
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("expected a square matrix")
     re = A.real
     im = A.imag
-    re_t = re.swapaxes(-1, -2)
-    im_t = im.swapaxes(-1, -2)
     return SymDecomp(
-        S_r=0.5 * (re + re_t),
-        K_r=0.5 * (re - re_t),
-        S_i=0.5 * (im + im_t),
-        K_i=0.5 * (im - im_t),
+        S_r=0.5 * (re + re.swapaxes(-1, -2)),
+        S_i=0.5 * (im + im.swapaxes(-1, -2)),
     )
 
 
@@ -373,15 +368,10 @@ class PInterval:
     def is_full(self):
         return math.isinf(self.lam)
 
-    def contains(self, p):
-        if self.is_full:
-            return 1.0 < p < math.inf
-        return self.p_min <= p <= self.p_max
 
-
-def p_interval(lam_result):
-    """Admissible exponent interval from the ratio lam (or a LambdaResult)."""
-    lam = lam_result.lam if isinstance(lam_result, LambdaResult) else float(lam_result)
+def p_interval(lam):
+    """Admissible exponent interval from the ratio lam (``LambdaResult.lam``)."""
+    lam = float(lam)
     if lam < 0.0:
         raise ValueError("ratio must be nonnegative")
     if math.isinf(lam):

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .coeffspec import NODE_CAP, _eval_field
+from .coeffspec import _eval_field
 from .grids import Grid, GridFunction
 
 STEP_CAP = 100_000
@@ -40,7 +40,6 @@ __all__ = [
     "NormTrace",
     "evolve",
     "estimate_omega",
-    "NODE_CAP",
     "STEP_CAP",
 ]
 

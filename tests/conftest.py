@@ -15,10 +15,10 @@ import numpy as np
 from scipy.sparse import identity
 from scipy.sparse.linalg import splu
 
-from dissipate import GridFunction
 from dissipate.cli import main as cli_main
 from dissipate.coeffspec import bump, sample_operator
 from dissipate.formcheck import MASK_EPS
+from dissipate.grids import GridFunction
 from dissipate.pointwise import TOL_PSD
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

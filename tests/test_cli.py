@@ -7,10 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from dissipate import Grid, decompose, p_interval, q_sufficiency, sample_operator, spec_from_dict
 from dissipate import cli, formcheck
 from dissipate.cli import _build_parser
-from dissipate.coeffspec import NODE_CAP
+from dissipate.coeffspec import NODE_CAP, sample_operator, spec_from_dict
+from dissipate.grids import Grid
+from dissipate.pointwise import decompose, p_interval, q_sufficiency
 
 from conftest import (
     GOLDEN_CASES,
@@ -54,6 +55,31 @@ class TestExitCodes:
         code, _, err = run_cli("interval", str(bad))
         assert code == 2
         assert "$.grid[0]" in err
+
+    @pytest.mark.parametrize(
+        "number", ["1e400", "NaN", "-Infinity", "1" + "0" * 400], ids=["1e400", "nan", "-inf", "10^400"]
+    )
+    @pytest.mark.parametrize(
+        "where, template",
+        [
+            ("$.A[0][0].re", '"domain": [[0, 1]], "A": [[{"re": NUM}]]'),
+            ("$.a.im", '"domain": [[0, 1]], "A": [[{"re": 1}]], "a": {"im": NUM}'),
+            ("$.domain[0][1]", '"domain": [[0, NUM]], "A": [[{"re": 1}]]'),
+        ],
+        ids=["A", "a.im", "domain"],
+    )
+    def test_a_non_finite_number_names_its_path(self, monkeypatch, tmp_path, number, where, template):
+        # JSON reads 1e400 as inf, and 10^400 has no float
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a non-finite document was sampled")
+
+        monkeypatch.setattr(cli, "sample_operator", unreachable)
+        bad = tmp_path / "inf.json"
+        bad.write_text('{"n": 1, "grid": [8], ' + template.replace("NUM", number) + "}", encoding="ascii")
+        code, out, err = run_cli("interval", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where}: number is not finite\n"
 
     def test_constant_verdict_refuses_a_field(self):
         code, _, err = run_cli("constant", preset("example2"), "--p", "2")

@@ -6,19 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from dissipate import (
+from dissipate.coeffspec import (
     EvalDomainError,
     ExprError,
     SpecError,
     bump,
-    load_spec,
-    sample_operator,
-    spec_from_dict,
-)
-from dissipate.coeffspec import (
     expr_is_constant,
     expr_is_zero,
+    load_doc,
     parse_expr,
+    sample_operator,
+    spec_from_dict,
 )
 
 
@@ -187,23 +185,24 @@ class TestBump:
 
 
 class TestDocumentValidation:
-    def test_load_spec_reads_a_file(self, tmp_path):
+    def test_load_doc_reads_a_file(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(minimal_doc()), encoding="ascii")
-        assert load_spec(path) == spec_from_dict(minimal_doc())
+        assert load_doc(path) == minimal_doc()
+        assert spec_from_dict(load_doc(path)) == spec_from_dict(minimal_doc())
 
-    def test_load_spec_reports_an_unreadable_file_as_a_spec_error(self, tmp_path):
+    def test_load_doc_reports_an_unreadable_file(self, tmp_path):
         with pytest.raises(SpecError, match="cannot read spec") as exc:
-            load_spec(tmp_path / "missing.json")
+            load_doc(tmp_path / "missing.json")
         assert exc.value.path == "$"
         with pytest.raises(SpecError, match="cannot read spec"):
-            load_spec(tmp_path)  # a directory
+            load_doc(tmp_path)  # a directory
 
-    def test_load_spec_reports_invalid_json_as_a_spec_error(self, tmp_path):
+    def test_load_doc_reports_invalid_json_as_a_spec_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="ascii")
         with pytest.raises(SpecError, match="not valid JSON"):
-            load_spec(path)
+            load_doc(path)
 
     def test_minimal_document_loads(self):
         spec = spec_from_dict(minimal_doc())

@@ -6,18 +6,8 @@ import numpy as np
 import pytest
 
 from dissipate import formcheck
-from dissipate import (
-    Grid,
-    GridFunction,
-    equivalence_gap,
-    falsify,
-    form_direct,
-    form_transformed,
-    gradient_split,
-    operator_form,
-    spec_from_dict,
-)
 from dissipate.cli import load_preset
+from dissipate.coeffspec import spec_from_dict
 from dissipate.formcheck import (
     BUDGET_CAP,
     TOL_NEG,
@@ -27,7 +17,14 @@ from dissipate.formcheck import (
     _make_starts,
     _profile,
     _random_terms,
+    equivalence_gap,
+    falsify,
+    form_direct,
+    form_transformed,
+    gradient_split,
+    operator_form,
 )
+from dissipate.grids import Grid, GridFunction
 
 from conftest import (
     FULL_COEFF_1D,

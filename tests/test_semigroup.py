@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from scipy.sparse import identity
 
-from dissipate import (
-    Grid,
-    GridFunction,
+from dissipate import semigroup
+from dissipate.coeffspec import NODE_CAP, spec_from_dict
+from dissipate.grids import Grid, GridFunction
+from dissipate.semigroup import (
+    STEP_CAP,
+    DiscreteOperator,
+    NormTrace,
     discretize,
     estimate_omega,
     evolve,
     lp_norm,
-    spec_from_dict,
 )
-from dissipate import semigroup
-from dissipate.semigroup import NODE_CAP, STEP_CAP, DiscreteOperator, NormTrace
 
 from conftest import complex_evolve_oracle, preset, run_cli
 
