@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh", "bump")
 NODE_CAP = 16384  # interior nodes of a document's grid
 
 __all__ = [
@@ -124,31 +125,7 @@ class Bin:
     right: object
 
     def ev(self, xs):
-        a = self.left.ev(xs)
-        b = self.right.ev(xs)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            zero = np.asarray(b == 0.0)
-            if np.any(zero):
-                raise EvalDomainError("division by zero", _first_bad(zero))
-            return a / b
-        # power; numpy would emit nan for negative base ** fractional, so
-        # guard explicitly instead of letting nan through
-        aa, bb = np.asarray(a), np.asarray(b)
-        frac = (aa < 0.0) & (bb != np.floor(bb))
-        if np.any(frac):
-            raise EvalDomainError(
-                "negative base with non-integer exponent", _first_bad(frac)
-            )
-        inv0 = (aa == 0.0) & (bb < 0.0)
-        if np.any(inv0):
-            raise EvalDomainError("zero base with negative exponent", _first_bad(inv0))
-        return np.power(a, b)
+        return _BINARY[self.op](self.left.ev(xs), self.right.ev(xs))
 
 
 @dataclass(frozen=True)
@@ -157,26 +134,41 @@ class Call:
     arg: object
 
     def ev(self, xs):
-        t = self.arg.ev(xs)
-        if self.func == "sin":
-            return np.sin(t)
-        if self.func == "cos":
-            return np.cos(t)
-        if self.func == "exp":
-            return np.exp(t)
-        if self.func == "tanh":
-            return np.tanh(t)
-        if self.func == "log":
-            bad = np.asarray(t <= 0.0)
-            if np.any(bad):
-                raise EvalDomainError("log of non-positive value", _first_bad(bad))
-            return np.log(t)
-        if self.func == "sqrt":
-            bad = np.asarray(t < 0.0)
-            if np.any(bad):
-                raise EvalDomainError("sqrt of negative value", _first_bad(bad))
-            return np.sqrt(t)
-        return bump(t)
+        return _CALLS[self.func](self.arg.ev(xs))
+
+
+def _divide(a, b):
+    zero = np.asarray(b == 0.0)
+    if np.any(zero):
+        raise EvalDomainError("division by zero", _first_bad(zero))
+    return a / b
+
+
+def _power(a, b):
+    # numpy would emit nan for negative base ** fractional, so guard
+    # explicitly instead of letting nan through
+    aa, bb = np.asarray(a), np.asarray(b)
+    frac = (aa < 0.0) & (bb != np.floor(bb))
+    if np.any(frac):
+        raise EvalDomainError("negative base with non-integer exponent", _first_bad(frac))
+    inv0 = (aa == 0.0) & (bb < 0.0)
+    if np.any(inv0):
+        raise EvalDomainError("zero base with negative exponent", _first_bad(inv0))
+    return np.power(a, b)
+
+
+def _log(t):
+    bad = np.asarray(t <= 0.0)
+    if np.any(bad):
+        raise EvalDomainError("log of non-positive value", _first_bad(bad))
+    return np.log(t)
+
+
+def _sqrt(t):
+    bad = np.asarray(t < 0.0)
+    if np.any(bad):
+        raise EvalDomainError("sqrt of negative value", _first_bad(bad))
+    return np.sqrt(t)
 
 
 def bump(r):
@@ -192,171 +184,118 @@ def bump(r):
     return out
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
+# bump is looked up when called, so that a rebound coeffspec.bump is the one run
+_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqrt,
+          "tanh": np.tanh, "bump": lambda t: bump(t)}
+FUNCTIONS = tuple(_CALLS)
+
+
 # ----------------------------------------------------------------------
 # tokenizer / parser
 
-_T_NUM = "num"
-_T_IDENT = "ident"
-_T_OP = "op"
-_T_END = "end"
-
-_OPS = set("+-*/^()")
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?").match
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").match
+_LEVELS = (("+", "-"), ("*", "/"))  # left-associative binary levels, loosest first
 
 
 def _tokenize(text):
-    """Split into (kind, value, byte_offset) triples; raise ExprError on junk."""
-    toks = []
-    i = 0
-    nbytes = len(text.encode("utf-8"))
-    if nbytes != len(text):
-        # keep offsets honest for non-ascii input by scanning bytewise
+    """Split into (value, byte_offset) pairs, the value a float for a
+    number and otherwise the name or operator, ending in ("", len(text));
+    raise ExprError on junk."""
+    if not text.isascii():
         raise ExprError("non-ascii character in expression", 0)
-    n = len(text)
+    toks, i, n = [], 0, len(text)
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
-            continue
-        if ch in _OPS:
-            toks.append((_T_OP, ch, i))
+        elif ch in "+-*/^()":
+            toks.append((ch, i))
             i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            try:
-                val = float(lit)
-            except ValueError:
-                raise ExprError(f"bad number literal '{lit}'", i) from None
-            toks.append((_T_NUM, val, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((_T_IDENT, text[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character '{ch}'", i)
-    toks.append((_T_END, "", n))
+        elif m := _NUMBER(text, i):
+            toks.append((float(m[0]), i))
+            i = m.end()
+        elif m := _NAME(text, i):
+            toks.append((m[0], i))
+            i = m.end()
+        else:
+            raise ExprError(f"unexpected character '{ch}'", i)
+    toks.append(("", n))
     return toks
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+# The parser functions take the tokens reversed: toks[-1] is the next one
+# and toks.pop() consumes it.
+def _chain(toks, level=0):
+    """operand (op operand)* with the operators of _LEVELS[level], the
+    operand being the next level, or a unary below the last one."""
+    if level == len(_LEVELS):
+        return _unary(toks)
+    node = _chain(toks, level + 1)
+    while toks[-1][0] in _LEVELS[level]:
+        op, _ = toks.pop()
+        node = Bin(op, node, _chain(toks, level + 1))
+    return node
 
-    def peek(self):
-        return self.toks[self.pos]
 
-    def advance(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+def _unary(toks):
+    if toks[-1][0] == "-":
+        toks.pop()
+        return Neg(_unary(toks))
+    base = _atom(toks)
+    if toks[-1][0] == "^":
+        toks.pop()
+        # exponent at unary level: 2^-3 parses, and ^ stays right
+        # associative because _unary comes back here
+        return Bin("^", base, _unary(toks))
+    return base
 
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind != _T_OP or val != op:
-            raise ExprError(f"expected '{op}'", off)
-        return self.advance()
 
-    def parse(self):
-        node = self.expr()
-        kind, val, off = self.peek()
-        if kind != _T_END:
-            raise ExprError(f"unexpected trailing input '{val}'", off)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _T_OP and val in "+-":
-                self.advance()
-                node = Bin(val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _T_OP and val in "*/":
-                self.advance()
-                node = Bin(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == _T_OP and val == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == _T_OP and val == "^":
-            self.advance()
-            # exponent at unary level: 2^-3 parses, and ^ stays right
-            # associative because unary falls through to power again
-            return Bin("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val, off = self.advance()
-        if kind == _T_NUM:
-            return Num(val)
-        if kind == _T_OP and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == _T_IDENT:
-            if val == "pi":
-                return Num(math.pi)
-            if val in FUNCTIONS:
-                k2, v2, o2 = self.peek()
-                if not (k2 == _T_OP and v2 == "("):
-                    raise ExprError(f"function '{val}' needs an argument list", o2)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            if val[0] == "x" and val[1:].isdigit():
-                idx = int(val[1:])
-                if idx < 1:
-                    raise ExprError("variable indices start at x1", off)
-                k2, v2, o2 = self.peek()
-                if k2 == _T_OP and v2 == "(":
-                    raise ExprError(f"'{val}' is a variable, not a function", o2)
-                return Var(idx)
-            raise ExprError(f"unknown identifier '{val}'", off)
+def _atom(toks):
+    """A number, pi or a variable; or a function call or a parenthesized
+    expression, which share the closing-parenthesis check."""
+    val, off = toks.pop()
+    if isinstance(val, float):
+        return Num(val)
+    if val == "pi":
+        return Num(math.pi)
+    if val != "(" and not val.isidentifier():  # the end, or another operator
         raise ExprError("expected a value", off)
+    nxt, at = toks[-1]
+    if val in _CALLS:
+        if nxt != "(":
+            raise ExprError(f"function '{val}' needs an argument list", at)
+        toks.pop()
+    elif val[0] == "x" and val[1:].isdigit():
+        try:
+            idx = int(val[1:])
+        except ValueError:  # more digits than int() converts
+            raise ExprError("variable index has too many digits", off) from None
+        if idx < 1:
+            raise ExprError("variable indices start at x1", off)
+        if nxt == "(":
+            raise ExprError(f"'{val}' is a variable, not a function", at)
+        return Var(idx)
+    elif val != "(":
+        raise ExprError(f"unknown identifier '{val}'", off)
+    node = _chain(toks)
+    close, at = toks.pop()
+    if close != ")":
+        raise ExprError("expected ')'", at)
+    return node if val == "(" else Call(val, node)
 
 
 def parse_expr(text):
     """Parse an expression string into a tree.  Raises ExprError."""
     if not isinstance(text, str):
         raise ExprError("expression must be a string", 0)
-    return _Parser(text).parse()
+    toks = _tokenize(text)[::-1]
+    node = _chain(toks)
+    val, off = toks.pop()
+    if val != "":
+        raise ExprError(f"unexpected trailing input '{val}'", off)
+    return node
 
 
 def expr_is_zero(node):
@@ -580,9 +519,18 @@ def load_doc(path):
     except OSError as err:
         raise SpecError("$", f"cannot read spec: {err}") from err
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as err:
         raise SpecError("$", f"not valid JSON: {err}") from err
+
+
+def _json_int(text):
+    """A JSON integer literal as an int; a SpecError beyond int()'s digit
+    limit, sys.get_int_max_str_digits()."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError("$", f"integer literal of {len(text.lstrip('-'))} digits is too long") from None
 
 
 # ----------------------------------------------------------------------

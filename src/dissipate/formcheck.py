@@ -109,43 +109,38 @@ def _split(flat, g):
 
 
 class FormEvaluator:
-    """Coefficients of a spec sampled once on a grid, reusable across
-    many functional evaluations (the falsifier calls value() thousands
-    of times).
+    """Coefficients of a spec sampled once on a grid, for one exponent p,
+    reusable across many functional evaluations (the falsifier calls
+    value() thousands of times).
 
     ``A`` and ``A - A*`` are stored node last, as C-contiguous (n, n, m)
     arrays, so each quadratic form is one einsum whose inner loop runs
-    over the nodes.  The zero order factor depends on p only and is
-    kept per exponent.
+    over the nodes.  ``gamma = 1 - 2/p`` and the zero order factor
+    Re(div b/p - div c/p' - a), None where it vanishes, are computed once.
     """
 
-    def __init__(self, spec, grid):
+    def __init__(self, spec, grid, p):
         self.spec = spec
         self.grid = grid
+        p = _validate_p(p)
+        self.gamma = 1.0 - 2.0 / p
         self.sam = sample_operator(spec, grid.points())
         self.A = np.ascontiguousarray(self.sam.A.transpose(1, 2, 0))
         self.A_minus_star = self.A - self.A.conj().transpose(1, 0, 2)
         self.im_bc = (self.sam.b + self.sam.c).imag.T  # (n, m)
         self.has_im_bc = bool(np.any(self.im_bc != 0.0))
-        self._zero_order = {}
+        pc = p / (p - 1.0)
+        zer = (self.sam.div_b / p - self.sam.div_c / pc - self.sam.a).real
+        self.zero_order = zer if np.any(zer != 0.0) else None
 
-    def _zero_order_factor(self, p):
-        """Re(div b/p - div c/p' - a) per node, or None where it vanishes."""
-        if p not in self._zero_order:
-            pc = p / (p - 1.0)
-            zer = (self.sam.div_b / p - self.sam.div_c / pc - self.sam.a).real
-            self._zero_order[p] = zer if np.any(zer != 0.0) else None
-        return self._zero_order[p]
-
-    def value(self, values, p):
+    def value(self, values):
         """The transformed functional at grid values (any matching shape).
 
         At p = 2 the middle terms vanish and only the gradient is taken;
         otherwise the modulus direction split is built from that same
         gradient.
         """
-        p = _validate_p(p)
-        gamma = 1.0 - 2.0 / p
+        gamma = self.gamma
         v = GridFunction(self.grid, np.asarray(values).reshape(self.grid.shape))
         g = v.gradient().reshape(self.grid.n, -1)
         flat = v.values.reshape(-1)
@@ -164,9 +159,8 @@ class FormEvaluator:
         if self.has_im_bc:
             imvg = (flat.conj()[None, :] * g).imag
             total = total + np.einsum("kj,kj->j", self.im_bc, imvg)
-        zer = self._zero_order_factor(p)
-        if zer is not None:
-            total = total + zer * (flat.real ** 2 + flat.imag ** 2)
+        if self.zero_order is not None:
+            total = total + self.zero_order * (flat.real ** 2 + flat.imag ** 2)
         return float(total.sum() * self.grid.weight)
 
     def h1_scale(self, values):
@@ -179,7 +173,7 @@ class FormEvaluator:
 
 def form_transformed(spec, v, p):
     """Transformed dissipativity functional of v at exponent p."""
-    return FormEvaluator(spec, v.grid).value(v.values, p)
+    return FormEvaluator(spec, v.grid, p).value(v.values)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +252,7 @@ def equivalence_gap(spec, u, p):
     vals = np.asarray(u.values, dtype=complex).reshape(-1)
     vvals = _power_pair(vals, (q - 2.0) / 2.0)
     direct = form_direct(spec, u, p)
-    transformed = FormEvaluator(spec, u.grid).value(vvals, p)
+    transformed = FormEvaluator(spec, u.grid, p).value(vvals)
     return abs(direct - transformed) / (1.0 + abs(direct))
 
 
@@ -493,12 +487,12 @@ def falsify(spec, p, budget=2000, seed=0):
     grid = Grid.from_spec(spec)
     box = list(zip(grid.lo, grid.hi))
     n = grid.n
-    ev = FormEvaluator(spec, grid)
+    ev = FormEvaluator(spec, grid, p)
     axes = _broadcast_axes(grid)
     rng = np.random.default_rng(seed)
 
     starts = _make_starts(p, budget, rng, box, n)
-    values = [ev.value(_build_values(fam, params, axes), p) for fam, params in starts]
+    values = [ev.value(_build_values(fam, params, axes)) for fam, params in starts]
     evaluations = len(starts)
 
     ranked = sorted(
@@ -532,7 +526,7 @@ def falsify(spec, p, budget=2000, seed=0):
                     if trial[j] == vec[j]:
                         continue
                     tparams = _unpack(fam, params, trial, box)
-                    tval = ev.value(_build_values(fam, tparams, axes), p)
+                    tval = ev.value(_build_values(fam, tparams, axes))
                     used += 1
                     if tval < cur_val:
                         vec = trial

@@ -40,11 +40,36 @@ class TestExitCodes:
         assert out == ""
 
     def test_invalid_json_document(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="ascii")
-        code, _, err = run_cli("interval", str(bad))
+        # int() refuses an integer literal of more than 4300 digits, and its
+        # message would advise changing an interpreter setting
+        big = '{"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": 1' + "0" * 5000 + "}]]}"
+        for text, start in [
+            ("{not json", "error: $: not valid JSON: "),
+            (big, "error: $: integer literal of 5001 digits is too long\n"),
+        ]:
+            bad = tmp_path / "bad.json"
+            bad.write_text(text, encoding="ascii")
+            code, out, err = run_cli("interval", str(bad))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(start)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("1\ud800", "non-ascii character in expression (byte 0)"),
+            ("x" + "1" * 5000, "variable index has too many digits (byte 0)"),
+        ],
+        ids=["lone-surrogate", "x-with-5000-digits"],
+    )
+    def test_an_unparsable_entry_names_its_path(self, tmp_path, entry, message):
+        bad = tmp_path / "entry.json"
+        doc = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": entry}]]}
+        bad.write_text(json.dumps(doc), encoding="ascii")
+        code, out, err = run_cli("check", str(bad), "--p", "2")
         assert code == 2
-        assert "not valid JSON" in err
+        assert out == ""
+        assert err == f"error: $.A[0][0].re: {message}\n"
 
     def test_schema_violation(self, tmp_path):
         bad = tmp_path / "coarse.json"

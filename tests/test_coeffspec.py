@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dissipate import coeffspec
 from dissipate.coeffspec import (
     EvalDomainError,
     ExprError,
@@ -127,8 +128,68 @@ class TestGrammarErrors:
         with pytest.raises(ExprError):
             parse_expr(3.0)
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            (3.0, "expression must be a string", 0),
+            (None, "expression must be a string", 0),
+            ("x1 \u00d7 2", "non-ascii character in expression", 0),
+            ("1\ud800", "non-ascii character in expression", 0),
+            ("1 + @", "unexpected character '@'", 4),
+            ("x1 . 2", "unexpected character '.'", 3),
+            ("1 +\f2", "unexpected character '\f'", 3),
+            ("sin(x1", "expected ')'", 6),
+            ("(1 2)", "expected ')'", 3),
+            ("1 2", "unexpected trailing input '2.0'", 2),
+            ("x1)", "unexpected trailing input ')'", 2),
+            ("pi pi", "unexpected trailing input 'pi'", 3),
+            ("sin + 1", "function 'sin' needs an argument list", 4),
+            ("2*bump", "function 'bump' needs an argument list", 6),
+            ("x0", "variable indices start at x1", 0),
+            ("2*x00", "variable indices start at x1", 2),
+            # int() refuses more than sys.get_int_max_str_digits() digits
+            pytest.param("1+x" + "0" * 4999 + "1", "variable index has too many digits", 2,
+                         id="x-with-5000-digits"),
+            ("x1(2)", "'x1' is a variable, not a function", 2),
+            ("foo + 1", "unknown identifier 'foo'", 0),
+            ("1 - x", "unknown identifier 'x'", 4),
+            ("2e", "unexpected trailing input 'e'", 1),
+            ("2*e", "unknown identifier 'e'", 2),
+            ("", "expected a value", 0),
+            ("1 +", "expected a value", 3),
+            ("*2", "expected a value", 0),
+            ("()", "expected a value", 1),
+            ("2^^3", "expected a value", 2),
+        ],
+    )
+    def test_every_error_branch_names_its_message_and_offset(self, text, message, offset):
+        with pytest.raises(ExprError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == f"{message} (byte {offset})"
+        assert exc.value.offset == offset
+
 
 class TestPartialFunctions:
+    @pytest.mark.parametrize(
+        "text, x1, message, index",
+        [
+            ("1/x1", [0.5, 0.0, 1.0], "division by zero", 1),
+            ("log(x1)", [1.0, 2.0, -3.0], "log of non-positive value", 2),
+            ("log(x1)", [0.0, 1.0], "log of non-positive value", 0),
+            ("sqrt(x1)", [1.0, 4.0, -0.1], "sqrt of negative value", 2),
+            ("x1^0.5", [1.0, -1.0], "negative base with non-integer exponent", 1),
+            ("x1^-1", [2.0, 0.0], "zero base with negative exponent", 1),
+            ("1/x1", 0.0, "division by zero", 0),
+            ("(-2)^x1", 0.5, "negative base with non-integer exponent", 0),
+        ],
+    )
+    def test_every_domain_error_names_its_message_and_index(self, text, x1, message, index):
+        node = parse_expr(text)
+        with pytest.raises(EvalDomainError) as exc:
+            node.ev((np.asarray(x1, dtype=float),))
+        assert str(exc.value) == message
+        assert exc.value.index == index
+
     def test_division_by_zero(self):
         node = parse_expr("1/x1")
         with pytest.raises(EvalDomainError, match="division by zero"):
@@ -171,6 +232,13 @@ class TestBump:
         h = 1e-3
         second = (bump(1.0 - h) - 2.0 * bump(1.0) + bump(1.0 + h)) / h**2
         assert abs(second) < 1e-6
+
+    def test_an_expression_calls_the_module_level_name(self, monkeypatch):
+        # the benchmark tracer counts bump calls by rebinding coeffspec.bump
+        calls = []
+        monkeypatch.setattr(coeffspec, "bump", lambda r: calls.append(r) or bump(r))
+        assert ev("bump(x1)", 0.0) == bump(0.0)
+        assert len(calls) == 1
 
     def test_matches_the_closed_form_derivative(self):
         for r in (0.0, 0.3, -0.6, 0.9):

@@ -178,14 +178,14 @@ class TestBitExactKernels:
     def test_evaluator_matches_the_node_first_formula(self, doc, shape):
         spec = spec_from_dict(doc)
         grid = Grid.from_spec(spec, shape=shape)
-        ev = FormEvaluator(spec, grid)
         probes = falsifier_probes(grid, 6, seed=sum(shape))
         masked = probes[-1].copy()
         masked.reshape(-1)[::3] = 0.0
         probes.append(masked)
-        for p in (1.5, 2.0, 3.0, 12.0, 1.5):
+        for p in (1.5, 2.0, 3.0, 12.0):
+            ev = FormEvaluator(spec, grid, p)
             for vals in probes:
-                assert ev.value(vals, p) == form_value_oracle(spec, grid, vals, p)
+                assert ev.value(vals) == form_value_oracle(spec, grid, vals, p)
 
 
 class TestTransformedFunctional:
@@ -440,6 +440,7 @@ class TestFalsifier:
         spec = spec_from_dict(load_preset("example1"))
         res = falsify(spec, 2.0, budget=60, seed=0)
         grid = Grid.from_spec(spec)
-        ev = FormEvaluator(spec, grid)
+        ev = FormEvaluator(spec, grid, 2.0)
+        assert res.threshold == TOL_NEG * (1.0 + ev.h1_scale(res.witness.values))
         assert res.threshold >= TOL_NEG
         assert res.threshold <= TOL_NEG * (1.0 + 1e6)
