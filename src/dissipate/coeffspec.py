@@ -306,16 +306,21 @@ def expr_is_zero(node):
 
 
 def _max_var_index(node):
-    """Largest variable index in the tree, 0 when it has no variable."""
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Neg):
-        return _max_var_index(node.child)
-    if isinstance(node, Bin):
-        return max(_max_var_index(node.left), _max_var_index(node.right))
-    if isinstance(node, Call):
-        return _max_var_index(node.arg)
-    return 0
+    """Largest variable index in the tree, 0 when it has no variable.
+    The walk keeps its own stack, so a tree that parsed is never too
+    deep for it, however deep the caller's stack."""
+    top, todo = 0, [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            top = max(top, node.index)
+        elif isinstance(node, Bin):
+            todo += (node.left, node.right)
+        elif isinstance(node, Neg):
+            todo.append(node.child)
+        elif isinstance(node, Call):
+            todo.append(node.arg)
+    return top
 
 
 def expr_is_constant(node):
@@ -387,6 +392,8 @@ def _parse_entry(raw, path, n):
             node = parse_expr(val)
         except ExprError as err:
             raise SpecError(where, str(err)) from err
+        except RecursionError:
+            raise SpecError(where, "expression is nested too deeply") from None
         idx = _max_var_index(node)
         if idx > n:
             raise SpecError(where, f"references x{idx} but n = {n}")
@@ -520,7 +527,7 @@ def load_doc(path):
         raise SpecError("$", f"cannot read spec: {err}") from err
     try:
         return json.loads(raw, parse_int=_json_int)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SpecError("$", f"not valid JSON: {err}") from err
 
 
@@ -567,11 +574,16 @@ def _point_label(xs, index):
 
 
 def _eval_field(field, xs, where):
+    """The field's values at the points xs, checked finite.  Callers run
+    it under np.errstate(all="ignore"): every value a floating point
+    warning would flag fails the finite check here."""
     try:
         vals = field.ev(xs)
     except EvalDomainError as err:
         at = f" near node {_point_label(xs, err.index)}" if err.index is not None else ""
         raise EvalDomainError(f"{where}: {err}{at}") from err
+    except RecursionError:
+        raise EvalDomainError(f"{where}: expression is nested too deeply") from None
     bad = ~np.isfinite(np.asarray(vals))
     if np.any(bad):
         at = _point_label(xs, int(np.argmax(bad.reshape(-1))))
@@ -593,19 +605,7 @@ def sample_operator(spec, points):
     if n != spec.n:
         raise ValueError(f"points have dimension {n}, spec has n = {spec.n}")
     h_fd = 1e-5 * spec.box_diameter()
-
     xs = tuple(pts[:, k] for k in range(n))
-    A = np.empty((m, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            A[:, i, j] = _eval_field(spec.A[i][j], xs, f"A[{i}][{j}]")
-    bvals = np.empty((m, n), dtype=complex)
-    cvals = np.empty((m, n), dtype=complex)
-    for k in range(n):
-        bvals[:, k] = _eval_field(spec.b[k], xs, f"b[{k}]")
-        cvals[:, k] = _eval_field(spec.c[k], xs, f"c[{k}]")
-    avals = _eval_field(spec.a, xs, "a")
-
     lo = np.array([d[0] for d in spec.domain])
     hi = np.array([d[1] for d in spec.domain])
 
@@ -626,12 +626,17 @@ def sample_operator(spec, points):
             div = div + (fu - fd) / sep
         return div
 
-    return SampledOperator(
-        points=pts,
-        A=A,
-        b=bvals,
-        c=cvals,
-        a=avals,
-        div_b=_divergence(spec.b, "b"),
-        div_c=_divergence(spec.c, "c"),
-    )
+    with np.errstate(all="ignore"):
+        A = np.empty((m, n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                A[:, i, j] = _eval_field(spec.A[i][j], xs, f"A[{i}][{j}]")
+        bvals = np.empty((m, n), dtype=complex)
+        cvals = np.empty((m, n), dtype=complex)
+        for k in range(n):
+            bvals[:, k] = _eval_field(spec.b[k], xs, f"b[{k}]")
+            cvals[:, k] = _eval_field(spec.c[k], xs, f"c[{k}]")
+        avals = _eval_field(spec.a, xs, "a")
+        div_b = _divergence(spec.b, "b")
+        div_c = _divergence(spec.c, "c")
+    return SampledOperator(points=pts, A=A, b=bvals, c=cvals, a=avals, div_b=div_b, div_c=div_c)

@@ -120,17 +120,16 @@ class FormEvaluator:
     """
 
     def __init__(self, spec, grid, p):
-        self.spec = spec
         self.grid = grid
         p = _validate_p(p)
         self.gamma = 1.0 - 2.0 / p
-        self.sam = sample_operator(spec, grid.points())
-        self.A = np.ascontiguousarray(self.sam.A.transpose(1, 2, 0))
+        sam = sample_operator(spec, grid.points())
+        self.A = np.ascontiguousarray(sam.A.transpose(1, 2, 0))
         self.A_minus_star = self.A - self.A.conj().transpose(1, 0, 2)
-        self.im_bc = (self.sam.b + self.sam.c).imag.T  # (n, m)
+        self.im_bc = (sam.b + sam.c).imag.T  # (n, m)
         self.has_im_bc = bool(np.any(self.im_bc != 0.0))
         pc = p / (p - 1.0)
-        zer = (self.sam.div_b / p - self.sam.div_c / pc - self.sam.a).real
+        zer = (sam.div_b / p - sam.div_c / pc - sam.a).real
         self.zero_order = zer if np.any(zer != 0.0) else None
 
     def value(self, values):
@@ -199,7 +198,7 @@ def _sesquilinear(spec, grid, f, g):
 
 
 def _power_pair(values, expo):
-    """|u|^expo * u nodewise, with 0 at zeros of u (expo may be >= 0 only)."""
+    """|u|^expo * u nodewise, with 0 at zeros of u."""
     absu = np.abs(values)
     if expo == 0.0:
         return values.astype(complex)
@@ -232,12 +231,7 @@ def operator_form(spec, u, p):
     op = discretize(spec, u.grid)
     vals = np.asarray(u.values, dtype=complex).reshape(-1)
     au = op.matrix @ vals
-    absu = np.abs(vals)
-    if p >= 2.0:
-        fac = absu ** (p - 2.0) if p != 2.0 else np.ones_like(absu)
-    else:
-        fac = np.where(absu > 0.0, np.where(absu > 0.0, absu, 1.0) ** (p - 2.0), 0.0)
-    val = np.sum(au * vals.conj() * fac) * u.grid.weight
+    val = np.sum(au * _power_pair(vals, p - 2.0).conj()) * u.grid.weight
     return float(val.real)
 
 
@@ -281,9 +275,9 @@ def _profile(axes, terms):
     """Sum of positive separable bump terms: amp * prod bump((x-ctr)/rad).
 
     ``axes`` holds each axis's node coordinates shaped to broadcast
-    along that axis (see ``_broadcast_axes``): the bumps are taken per
-    axis and multiplied out in axis order, which gives the same numbers
-    as taking them on the full coordinate meshes.
+    along that axis (``np.ix_`` of the grid axes): the bumps are taken
+    per axis and multiplied out in axis order, which gives the same
+    numbers as taking them on the full coordinate meshes.
     """
     rho = np.zeros(tuple(ax.size for ax in axes))
     for amp, ctrs, rads in terms:
@@ -292,22 +286,6 @@ def _profile(axes, terms):
             piece = piece * bump((ax - ctrs[k]) / rads[k])
         rho = rho + piece
     return rho
-
-
-def _broadcast_axes(grid):
-    """Node coordinates per axis, axis k shaped (1, .., N_k, .., 1)."""
-    axes = []
-    for k in range(grid.n):
-        shape = [1] * grid.n
-        shape[k] = grid.shape[k]
-        axes.append(grid.axis(k).reshape(shape))
-    return axes
-
-
-def _canonical_terms(box):
-    ctrs = tuple(0.5 * (lo + hi) for lo, hi in box)
-    rads = tuple(0.5 * (hi - lo) for lo, hi in box)
-    return ((1.0, ctrs, rads),)
 
 
 def _build_values(family, params, axes):
@@ -344,13 +322,19 @@ def _random_terms(rng, box):
     return tuple(terms)
 
 
+def _random_kvec(rng, n):
+    """A nonzero integer wave vector with components in -8..8."""
+    kvec = tuple(int(v) for v in rng.integers(-8, 9, size=n))
+    return kvec if any(kvec) else (1,) + (0,) * (n - 1)
+
+
 _DET_T_GRID = (1.5, -1.5, 3.0, -3.0, 6.0, -6.0, 12.0, -12.0, 25.0, -25.0, 50.0, -50.0, 100.0, -100.0)
 _DET_MU_GRID = (0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
 
 
 def _make_starts(p, budget, rng, box, n):
     """Deterministic probe grid first, then seeded random starts."""
-    canon = _canonical_terms(box)
+    canon = ((1.0, tuple(0.5 * (lo + hi) for lo, hi in box), tuple(0.5 * (hi - lo) for lo, hi in box)),)
     starts = []
     for k_ax in range(n):
         kvec = tuple(1 if j == k_ax else 0 for j in range(n))
@@ -365,104 +349,70 @@ def _make_starts(p, budget, rng, box, n):
         fam = int(rng.integers(1, 4))
         terms = _random_terms(rng, box)
         if fam == 1:
-            params = {
-                "terms": terms,
-                "mu": float(rng.uniform(-50.0, 50.0)),
-                "eps": float(10.0 ** rng.uniform(-6.0, 0.0)),
-            }
+            mu = float(rng.uniform(-50.0, 50.0))
+            params = {"terms": terms, "mu": mu, "eps": float(10.0 ** rng.uniform(-6.0, 0.0))}
         elif fam == 2:
-            kvec = tuple(int(v) for v in rng.integers(-8, 9, size=n))
-            if not any(kvec):
-                kvec = (1,) + (0,) * (n - 1)
-            params = {"terms": terms, "k": kvec, "t": float(rng.uniform(-100.0, 100.0))}
+            params = {"terms": terms, "k": _random_kvec(rng, n), "t": float(rng.uniform(-100.0, 100.0))}
         else:
             waves = []
             for _ in range(int(rng.integers(1, 3))):
-                kvec = tuple(int(v) for v in rng.integers(-8, 9, size=n))
-                if not any(kvec):
-                    kvec = (1,) + (0,) * (n - 1)
-                waves.append(
-                    (
-                        float(rng.uniform(-1.0, 1.0)),
-                        float(rng.uniform(-1.0, 1.0)),
-                        float(rng.uniform(-20.0, 20.0)),
-                        kvec,
-                    )
-                )
-            params = {
-                "terms": terms,
-                "c0_re": float(rng.uniform(-1.0, 1.0)),
-                "c0_im": float(rng.uniform(-1.0, 1.0)),
-                "waves": tuple(waves),
-            }
+                kvec = _random_kvec(rng, n)
+                c_re, c_im = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))
+                waves.append((c_re, c_im, float(rng.uniform(-20.0, 20.0)), kvec))
+            c0_re, c0_im = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))
+            params = {"terms": terms, "c0_re": c0_re, "c0_im": c0_im, "waves": tuple(waves)}
         starts.append((fam, params))
     return starts[:budget]
 
 
+# Coordinate descent rows, each (key, step scale, lower, upper), in the
+# order of the descent vector: the family's head (eps walked in log10),
+# then each wave of family 3, then each profile term.
+_HEADS = {
+    1: (("mu", 2.0, -50.0, 50.0), ("eps", 1.0, -9.0, 0.0)),
+    2: (("t", 2.0, -100.0, 100.0),),
+    3: (("c0_re", 0.25, -2.0, 2.0), ("c0_im", 0.25, -2.0, 2.0)),
+}
+_WAVE = (("c_re", 0.25, -2.0, 2.0), ("c_im", 0.25, -2.0, 2.0), ("t", 2.0, -100.0, 100.0))
+
+
+def _term_rows(box):
+    """A profile term's rows: its amplitude, then its centre and then
+    its radius on each axis, bounded relative to the box."""
+    ctrs = [("ctr", 0.1 * (hi - lo), lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)) for lo, hi in box]
+    rads = [("rad", 0.1 * (hi - lo), 0.02 * (hi - lo), 1.0 * (hi - lo)) for lo, hi in box]
+    return (("amp", 0.2, 0.05, 2.0), *ctrs, *rads)
+
+
 def _pack(family, params, box):
-    """Flatten the continuous parameters for coordinate descent."""
-    vec = []
-    scales = []
-    lows = []
-    highs = []
-
-    def push(v, s, lo, hi):
-        vec.append(v)
-        scales.append(s)
-        lows.append(lo)
-        highs.append(hi)
-
-    if family == 1:
-        push(params["mu"], 2.0, -50.0, 50.0)
-        push(math.log10(params["eps"]), 1.0, -9.0, 0.0)
-    elif family == 2:
-        push(params["t"], 2.0, -100.0, 100.0)
-    else:
-        push(params["c0_re"], 0.25, -2.0, 2.0)
-        push(params["c0_im"], 0.25, -2.0, 2.0)
-        for c_re, c_im, t, _ in params["waves"]:
-            push(c_re, 0.25, -2.0, 2.0)
-            push(c_im, 0.25, -2.0, 2.0)
-            push(t, 2.0, -100.0, 100.0)
-    for amp, ctrs, rads in params["terms"]:
-        push(amp, 0.2, 0.05, 2.0)
-        for k, (lo, hi) in enumerate(box):
-            push(ctrs[k], 0.1 * (hi - lo), lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-        for k, (lo, hi) in enumerate(box):
-            push(rads[k], 0.1 * (hi - lo), 0.02 * (hi - lo), 1.0 * (hi - lo))
+    """Flatten the continuous parameters for coordinate descent: the
+    vector, with the step scale and bounds of each coordinate."""
+    heads = _HEADS[family]
+    waves = params.get("waves", ())
+    vec = [math.log10(params[key]) if key == "eps" else params[key] for key, *_ in heads]
+    vec += [v for wave in waves for v in wave[: len(_WAVE)]]
+    vec += [v for amp, ctrs, rads in params["terms"] for v in (amp, *ctrs, *rads)]
+    rows = heads + _WAVE * len(waves) + _term_rows(box) * len(params["terms"])
+    _, scales, lows, highs = zip(*rows)
     return np.array(vec), np.array(scales), np.array(lows), np.array(highs)
 
 
 def _unpack(family, params, vec, box):
-    i = 0
+    """The parameters with the descent coordinates ``vec`` written back
+    in ``_pack``'s order, as Python floats."""
     out = dict(params)
-    if family == 1:
-        out["mu"] = float(vec[0])
-        out["eps"] = float(10.0 ** vec[1])
-        i = 2
-    elif family == 2:
-        out["t"] = float(vec[0])
-        i = 1
-    else:
-        out["c0_re"] = float(vec[0])
-        out["c0_im"] = float(vec[1])
-        i = 2
-        waves = []
-        for _, _, _, kvec in params["waves"]:
-            waves.append((float(vec[i]), float(vec[i + 1]), float(vec[i + 2]), kvec))
-            i += 3
-        out["waves"] = tuple(waves)
-    n = len(box)
-    terms = []
-    for _ in params["terms"]:
-        amp = float(vec[i])
-        i += 1
-        ctrs = tuple(float(v) for v in vec[i : i + n])
-        i += n
-        rads = tuple(float(v) for v in vec[i : i + n])
-        i += n
-        terms.append((amp, ctrs, rads))
-    out["terms"] = tuple(terms)
+    heads = _HEADS[family]
+    for (key, *_), v in zip(heads, vec):
+        out[key] = float(10.0 ** v) if key == "eps" else float(v)
+    rest = vec[len(heads) :].tolist()
+    if "waves" in params:
+        w = len(_WAVE)
+        out["waves"] = tuple((*rest[j * w : (j + 1) * w], wave[-1]) for j, wave in enumerate(params["waves"]))
+        rest = rest[w * len(params["waves"]) :]
+    n, size = len(box), len(_term_rows(box))
+    out["terms"] = tuple(
+        (rest[i], tuple(rest[i + 1 : i + 1 + n]), tuple(rest[i + 1 + n : i + size])) for i in range(0, len(rest), size)
+    )
     return out
 
 
@@ -488,7 +438,7 @@ def falsify(spec, p, budget=2000, seed=0):
     box = list(zip(grid.lo, grid.hi))
     n = grid.n
     ev = FormEvaluator(spec, grid, p)
-    axes = _broadcast_axes(grid)
+    axes = np.ix_(*(grid.axis(k) for k in range(n)))
     rng = np.random.default_rng(seed)
 
     starts = _make_starts(p, budget, rng, box, n)

@@ -53,7 +53,8 @@ class DiscreteOperator:
 
 
 def _field_on(field, meshes, where):
-    return np.asarray(_eval_field(field, tuple(meshes), where)).astype(complex)
+    with np.errstate(all="ignore"):  # _eval_field rejects what numpy would warn of
+        return np.asarray(_eval_field(field, tuple(meshes), where)).astype(complex)
 
 
 def _staggered_meshes(grid, k):

@@ -260,6 +260,75 @@ def form_value_oracle(spec, grid, values, p):
     return float(total.sum() * grid.weight)
 
 
+def pack_oracle(family, params, box):
+    """The falsifier's descent coordinates by a hand-written walk over
+    each family: (vec, scales, lows, highs)."""
+    vec = []
+    scales = []
+    lows = []
+    highs = []
+
+    def push(v, s, lo, hi):
+        vec.append(v)
+        scales.append(s)
+        lows.append(lo)
+        highs.append(hi)
+
+    if family == 1:
+        push(params["mu"], 2.0, -50.0, 50.0)
+        push(math.log10(params["eps"]), 1.0, -9.0, 0.0)
+    elif family == 2:
+        push(params["t"], 2.0, -100.0, 100.0)
+    else:
+        push(params["c0_re"], 0.25, -2.0, 2.0)
+        push(params["c0_im"], 0.25, -2.0, 2.0)
+        for c_re, c_im, t, _ in params["waves"]:
+            push(c_re, 0.25, -2.0, 2.0)
+            push(c_im, 0.25, -2.0, 2.0)
+            push(t, 2.0, -100.0, 100.0)
+    for amp, ctrs, rads in params["terms"]:
+        push(amp, 0.2, 0.05, 2.0)
+        for k, (lo, hi) in enumerate(box):
+            push(ctrs[k], 0.1 * (hi - lo), lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+        for k, (lo, hi) in enumerate(box):
+            push(rads[k], 0.1 * (hi - lo), 0.02 * (hi - lo), 1.0 * (hi - lo))
+    return np.array(vec), np.array(scales), np.array(lows), np.array(highs)
+
+
+def unpack_oracle(family, params, vec, box):
+    """The walk of ``pack_oracle`` run backwards: params with vec put back."""
+    i = 0
+    out = dict(params)
+    if family == 1:
+        out["mu"] = float(vec[0])
+        out["eps"] = float(10.0 ** vec[1])
+        i = 2
+    elif family == 2:
+        out["t"] = float(vec[0])
+        i = 1
+    else:
+        out["c0_re"] = float(vec[0])
+        out["c0_im"] = float(vec[1])
+        i = 2
+        waves = []
+        for _, _, _, kvec in params["waves"]:
+            waves.append((float(vec[i]), float(vec[i + 1]), float(vec[i + 2]), kvec))
+            i += 3
+        out["waves"] = tuple(waves)
+    n = len(box)
+    terms = []
+    for _ in params["terms"]:
+        amp = float(vec[i])
+        i += 1
+        ctrs = tuple(float(v) for v in vec[i : i + n])
+        i += n
+        rads = tuple(float(v) for v in vec[i : i + n])
+        i += n
+        terms.append((amp, ctrs, rads))
+    out["terms"] = tuple(terms)
+    return out
+
+
 def complex_evolve_oracle(op, u0, dt, t_end, p, colamd=False):
     """Implicit Euler norms with the factorization and the solves always
     in complex arithmetic, whatever the input.  The factorization uses

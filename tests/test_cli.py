@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,67 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: $.A[0][0].re: {message}\n"
+
+    def test_a_document_that_is_not_utf8_is_not_valid_json(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "1\xff"}]]}')
+        code, out, err = run_cli("interval", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: $: not valid JSON: 'utf-8' codec can't decode byte 0xff"
+            " in position 58: invalid start byte\n"
+        )
+
+    # Parsing recurses once per parenthesis and evaluation once per
+    # operator, so the first entry is refused by the parser and the second,
+    # which parses in a loop, by the evaluator.
+    @pytest.mark.parametrize(
+        "entry, where",
+        [("(" * 200 + "1" + ")" * 200, "$.A[0][0].re"), ("+".join(["x1"] * 1000), "A[0][0]")],
+        ids=["200-parentheses", "1000-term-sum"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("interval",),
+            ("check", "--p", "2"),
+            ("falsify", "--p", "2", "--budget", "3"),
+            ("simulate", "--p", "2", "--dt", "1e-3", "--t-end", "1e-2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_too_deep_expression_names_its_entry(self, tmp_path, entry, where, argv):
+        bad = tmp_path / "deep.json"
+        doc = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": entry}]]}
+        bad.write_text(json.dumps(doc), encoding="ascii")
+        code, out, err = run_cli(argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where}: expression is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv, node",
+        [
+            (("interval",), "0.777778"),
+            (("check", "--p", "2"), "0.777778"),
+            (("falsify", "--p", "2", "--budget", "3"), "0.777778"),
+            # discretize samples A on the cell midpoints
+            (("simulate", "--p", "2", "--dt", "1e-3", "--t-end", "1e-2"), "0.722222"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else None,
+    )
+    def test_an_overflowing_coefficient_is_one_error_line(self, tmp_path, argv, node):
+        bad = tmp_path / "overflow.json"
+        doc = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "exp(1e3*x1)"}]]}
+        bad.write_text(json.dumps(doc), encoding="ascii")
+        with warnings.catch_warnings():
+            # numpy's overflow warning would escape main as an exception
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: A[0][0]: non-finite value at node ({node})\n"
 
     def test_schema_violation(self, tmp_path):
         bad = tmp_path / "coarse.json"

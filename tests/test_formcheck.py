@@ -12,11 +12,12 @@ from dissipate.formcheck import (
     BUDGET_CAP,
     TOL_NEG,
     FormEvaluator,
-    _broadcast_axes,
     _build_values,
     _make_starts,
+    _pack,
     _profile,
     _random_terms,
+    _unpack,
     equivalence_gap,
     falsify,
     form_direct,
@@ -31,7 +32,9 @@ from conftest import (
     boundary_flat_battery,
     form_value_oracle,
     mesh_profile_oracle,
+    pack_oracle,
     padded_gradient_oracle,
+    unpack_oracle,
 )
 
 
@@ -122,7 +125,7 @@ def falsifier_probes(grid, count, seed):
     box = list(zip(grid.lo, grid.hi))
     starts = _make_starts(3.0, 400, rng, box, grid.n)
     picked = starts[:3] + starts[-count:]
-    axes = _broadcast_axes(grid)
+    axes = np.ix_(*(grid.axis(k) for k in range(grid.n)))
     assert {fam for fam, _ in picked} == {1, 2, 3}
     return [_build_values(fam, params, axes) for fam, params in picked]
 
@@ -157,7 +160,7 @@ class TestBitExactKernels:
             while len(terms) < count:
                 terms = terms + _random_terms(rng, box)[: count - len(terms)]
             ref = mesh_profile_oracle(grid, terms)
-            got = _profile(_broadcast_axes(grid), terms)
+            got = _profile(np.ix_(*(grid.axis(k) for k in range(grid.n))), terms)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
@@ -186,6 +189,38 @@ class TestBitExactKernels:
             ev = FormEvaluator(spec, grid, p)
             for vals in probes:
                 assert ev.value(vals) == form_value_oracle(spec, grid, vals, p)
+
+    @pytest.mark.parametrize("family", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "box",
+        [[(-0.3, 1.7)], [(0.25, 2.0), (-1.0, -0.2)], [(-0.5, 0.5), (1.0, 4.0), (-2.0, 3.0)]],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_descent_coordinates_match_the_per_family_walks(self, family, box):
+        def same(got, ref):
+            # == on every field, and the same Python types
+            assert got == ref
+            assert repr(got) == repr(ref)
+
+        starts = _make_starts(3.0, 400, np.random.default_rng(len(box)), box, len(box))
+        picked = {}
+        for fam, params in starts:
+            if fam == family:
+                picked.setdefault((len(params["terms"]), len(params.get("waves", ()))), params)
+        assert {terms for terms, _ in picked} == {1, 2, 3}
+        assert {waves for _, waves in picked} == ({1, 2} if family == 3 else {0})
+        for params in picked.values():
+            got = _pack(family, params, box)
+            ref = pack_oracle(family, params, box)
+            for g, r in zip(got, ref, strict=True):
+                assert g.shape == r.shape
+                assert (g == r).all()
+            vec, scales, lows, highs = ref
+            same(_unpack(family, params, vec, box), unpack_oracle(family, params, vec, box))
+            for j in range(len(vec)):
+                moved = vec.copy()
+                moved[j] = min(max(moved[j] + 0.37 * scales[j], lows[j]), highs[j])
+                same(_unpack(family, params, moved, box), unpack_oracle(family, params, moved, box))
 
 
 class TestTransformedFunctional:
