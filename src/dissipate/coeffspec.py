@@ -188,7 +188,6 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide
 # bump is looked up when called, so that a rebound coeffspec.bump is the one run
 _CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqrt,
           "tanh": np.tanh, "bump": lambda t: bump(t)}
-FUNCTIONS = tuple(_CALLS)
 
 
 # ----------------------------------------------------------------------
@@ -529,6 +528,8 @@ def load_doc(path):
         return json.loads(raw, parse_int=_json_int)
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SpecError("$", f"not valid JSON: {err}") from err
+    except RecursionError:
+        raise SpecError("$", "document is nested too deeply") from None
 
 
 def _json_int(text):
@@ -596,7 +597,9 @@ def sample_operator(spec, points):
 
     ``points`` is an (m, n) array inside the closed box.  The divergence
     stencil is clipped to the box, so one-sided differences are used next
-    to the boundary; the step is 1e-5 times the box diameter.
+    to the boundary; the step is 1e-5 times the box diameter.  A value or
+    a divergence that is not finite is an EvalDomainError naming the
+    coefficient and a node.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -624,6 +627,10 @@ def sample_operator(spec, points):
             fu = _eval_field(fields[k], tuple(up[:, j] for j in range(n)), f"{tag}[{k}]")
             fd = _eval_field(fields[k], tuple(dn[:, j] for j in range(n)), f"{tag}[{k}]")
             div = div + (fu - fd) / sep
+            bad = ~np.isfinite(div)
+            if bad.any():
+                at = _point_label(xs, int(np.argmax(bad)))
+                raise EvalDomainError(f"{tag}[{k}]: non-finite divergence near node {at}")
         return div
 
     with np.errstate(all="ignore"):

@@ -8,14 +8,21 @@ on a Grid with homogeneous Dirichlet boundary, as a sparse matrix over
 the interior nodes in lexicographic order.  Second order terms use flux
 differencing with coefficients sampled at cell midpoints x +- h/2 e_k
 (for the pure 1D coefficient A = 1 this is exactly tridiag(1,-2,1)/h^2);
-drift terms use central differences.  ``evolve`` runs implicit Euler
-steps of u' = M u with the system matrix factored once (minimum degree
-ordering on A^T + A in SuperLU's symmetric mode, threshold pivoting
-kept), recording the L^p norm of the iterate at every step; a system
-whose matrix and initial data have no nonzero imaginary entry is
-factored and solved in real arithmetic.  ``estimate_omega`` turns a
-norm trace into a growth bound estimate: the largest sliding-window
-slope of log ||u||, clamped at zero.
+drift terms use central differences.  The stencil is one table from an
+offset to the coefficients of the entries (j, j + offset), by row j.
+The terms add into it in a fixed order, A[k][l] (k, then l), then b[k]
+and c[k] (k ascending), then a, so each entry is summed once in that
+order; the first term at an offset is stored as it is, so a -0.0
+survives.  The entries are checked finite once: a coefficient too large
+for the grid spacing is a ValueError naming a node.
+
+``evolve`` runs implicit Euler steps of u' = M u with the system matrix
+factored once (minimum degree ordering on A^T + A in SuperLU's
+symmetric mode, threshold pivoting kept), recording the L^p norm of the
+iterate at every step; a system whose matrix and initial data have no
+nonzero imaginary entry is factored and solved in real arithmetic.
+``estimate_omega`` turns a norm trace into a growth bound estimate: the
+largest sliding-window slope of log ||u||, clamped at zero.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .coeffspec import _eval_field
+from .coeffspec import _eval_field, _point_label
 from .grids import Grid, GridFunction
 
 STEP_CAP = 100_000
@@ -52,11 +59,6 @@ class DiscreteOperator:
     matrix: object  # scipy CSC
 
 
-def _field_on(field, meshes, where):
-    with np.errstate(all="ignore"):  # _eval_field rejects what numpy would warn of
-        return np.asarray(_eval_field(field, tuple(meshes), where)).astype(complex)
-
-
 def _staggered_meshes(grid, k):
     """Coordinate meshes on the axis-k midpoint lattice (N_k + 1 along k)."""
     axes = []
@@ -74,101 +76,81 @@ def discretize(spec, grid=None):
     if grid is None:
         grid = Grid.from_spec(spec)
     n = grid.n
-    shape = tuple(grid.shape)
     h = grid.spacing
-    idx = np.arange(grid.size).reshape(shape)
+    nodes = tuple(grid.meshes())
+    e = np.eye(n, dtype=int)  # e[k] steps one node along axis k
+    stencil = {}  # offset -> grid-shaped coefficients of the entries (j, j + offset), by row j
 
-    rows: list = []
-    cols: list = []
-    data: list = []
+    def add(offset, coef):
+        key = tuple(offset.tolist())
+        stencil[key] = stencil[key] + coef if key in stencil else coef
 
-    def add(coef, offset):
-        """Add entries (j, j+offset) with row-indexed coefficient array."""
-        rsl = []
-        csl = []
-        for ax, off in enumerate(offset):
-            m = shape[ax]
-            if off >= 0:
-                rsl.append(slice(0, m - off))
-                csl.append(slice(off, m))
-            else:
-                rsl.append(slice(-off, m))
-                csl.append(slice(0, m + off))
-        r = idx[tuple(rsl)].ravel()
-        if r.size == 0:
-            return
-        rows.append(r)
-        cols.append(idx[tuple(csl)].ravel())
-        data.append(np.broadcast_to(coef, shape)[tuple(rsl)].ravel().astype(complex))
+    with np.errstate(all="ignore"):  # the stencil is checked finite below
+        for k in range(n):
+            stag = tuple(_staggered_meshes(grid, k))
+            take_up = tuple(slice(1, None) if l == k else slice(None) for l in range(n))
+            take_dn = tuple(slice(None, -1) if l == k else slice(None) for l in range(n))
+            for l in range(n):
+                field = spec.A[k][l]
+                if field.is_zero:
+                    continue
+                G = _eval_field(field, stag, f"A[{k}][{l}]")
+                g_up = G[take_up]
+                g_dn = G[take_dn]
+                if l == k:
+                    hk2 = h[k] * h[k]
+                    add(e[k], g_up / hk2)
+                    add(-e[k], g_dn / hk2)
+                    add(0 * e[k], -(g_up + g_dn) / hk2)
+                else:
+                    # flux G * (central d_l u averaged onto the k midpoint)
+                    q = 1.0 / (4.0 * h[k] * h[l])
+                    add(e[l], (g_up - g_dn) * q)
+                    add(-e[l], -(g_up - g_dn) * q)
+                    add(e[k] + e[l], g_up * q)
+                    add(e[k] - e[l], -g_up * q)
+                    add(-e[k] + e[l], -g_dn * q)
+                    add(-e[k] - e[l], g_dn * q)
 
-    def unit(ax, sign=1):
-        off = [0] * n
-        off[ax] = sign
-        return tuple(off)
+        for k in range(n):
+            if not spec.b[k].is_zero:
+                bk = _eval_field(spec.b[k], nodes, f"b[{k}]")
+                add(e[k], bk / (2.0 * h[k]))
+                add(-e[k], -bk / (2.0 * h[k]))
+            if not spec.c[k].is_zero:
+                # conservative form: (c_k u) differenced, coefficient at the
+                # neighbour node so the term stays the exact discrete adjoint
+                # of the drift -c . grad
+                ck = _eval_field(spec.c[k], nodes, f"c[{k}]")
+                pad = [(0, 0)] * n
+                pad[k] = (1, 1)
+                ckp = np.pad(ck, pad)
+                up = tuple(slice(2, None) if l == k else slice(None) for l in range(n))
+                dn = tuple(slice(None, -2) if l == k else slice(None) for l in range(n))
+                add(e[k], ckp[up] / (2.0 * h[k]))
+                add(-e[k], -ckp[dn] / (2.0 * h[k]))
 
-    def combo(ax1, s1, ax2, s2):
-        off = [0] * n
-        off[ax1] += s1
-        off[ax2] += s2
-        return tuple(off)
+        if not spec.a.is_zero:
+            add(0 * e[0], _eval_field(spec.a, nodes, "a"))
 
-    nodes = grid.meshes()
-
-    for k in range(n):
-        stag = _staggered_meshes(grid, k)
-        take_up = tuple(slice(1, None) if l == k else slice(None) for l in range(n))
-        take_dn = tuple(slice(None, -1) if l == k else slice(None) for l in range(n))
-        for l in range(n):
-            field = spec.A[k][l]
-            if field.is_zero:
-                continue
-            G = _field_on(field, stag, f"A[{k}][{l}]")
-            g_up = G[take_up]
-            g_dn = G[take_dn]
-            if l == k:
-                hk2 = h[k] * h[k]
-                add(g_up / hk2, unit(k, +1))
-                add(g_dn / hk2, unit(k, -1))
-                add(-(g_up + g_dn) / hk2, unit(k, 0) if n > 1 else (0,) * n)
-            else:
-                # flux G * (central d_l u averaged onto the k midpoint)
-                q = 1.0 / (4.0 * h[k] * h[l])
-                add((g_up - g_dn) * q, unit(l, +1))
-                add(-(g_up - g_dn) * q, unit(l, -1))
-                add(g_up * q, combo(k, +1, l, +1))
-                add(-g_up * q, combo(k, +1, l, -1))
-                add(-g_dn * q, combo(k, -1, l, +1))
-                add(g_dn * q, combo(k, -1, l, -1))
-
-    for k in range(n):
-        if not spec.b[k].is_zero:
-            bk = _field_on(spec.b[k], nodes, f"b[{k}]")
-            add(bk / (2.0 * h[k]), unit(k, +1))
-            add(-bk / (2.0 * h[k]), unit(k, -1))
-        if not spec.c[k].is_zero:
-            # conservative form: (c_k u) differenced, coefficient at the
-            # neighbour node so the term stays the exact discrete adjoint
-            # of the drift -c . grad
-            ck = _field_on(spec.c[k], nodes, f"c[{k}]")
-            pad = [(0, 0)] * n
-            pad[k] = (1, 1)
-            ckp = np.pad(ck, pad)
-            up = tuple(slice(2, None) if l == k else slice(None) for l in range(n))
-            dn = tuple(slice(None, -2) if l == k else slice(None) for l in range(n))
-            add(ckp[up] / (2.0 * h[k]), unit(k, +1))
-            add(-ckp[dn] / (2.0 * h[k]), unit(k, -1))
-
-    if not spec.a.is_zero:
-        av = _field_on(spec.a, nodes, "a")
-        add(av, (0,) * n)
-
-    if rows:
-        mat = coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(grid.size, grid.size),
-        ).tocsc()
-    else:
-        mat = coo_matrix((grid.size, grid.size), dtype=complex).tocsc()
+    idx = np.arange(grid.size).reshape(grid.shape)
+    rows, cols, data = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
+    for offset, coef in stencil.items():
+        # the pairs (j, j + offset) with both nodes inside the grid
+        rsl = tuple(slice(max(0, -o), m - max(0, o)) for m, o in zip(grid.shape, offset))
+        csl = tuple(slice(max(0, o), m - max(0, -o)) for m, o in zip(grid.shape, offset))
+        rows.append(idx[rsl].ravel())
+        cols.append(idx[csl].ravel())
+        data.append(coef[rsl].ravel())
+    rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        at = _point_label(nodes, int(rows[bad].min()))
+        raise ValueError(
+            f"operator matrix: non-finite entry in the row of node {at}; "
+            "a coefficient is too large for the grid spacing"
+        )
+    mat = coo_matrix((data, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
     return DiscreteOperator(grid=grid, matrix=mat)
 
 

@@ -12,14 +12,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import identity
+from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
 from dissipate.cli import main as cli_main
-from dissipate.coeffspec import bump, sample_operator
+from dissipate.coeffspec import _eval_field, bump, sample_operator
 from dissipate.formcheck import MASK_EPS
-from dissipate.grids import GridFunction
+from dissipate.grids import Grid, GridFunction
 from dissipate.pointwise import TOL_PSD
+from dissipate.semigroup import _staggered_meshes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PRESET_DIR = REPO_ROOT / "src" / "dissipate" / "presets"
@@ -352,6 +353,99 @@ def complex_evolve_oracle(op, u0, dt, t_end, p, colamd=False):
         vec = lu.solve(vec)
         norms[k] = norm(vec)
     return norms
+
+
+def discretize_triplet_oracle(spec, grid=None):
+    """The operator matrix of ``semigroup.discretize`` assembled from one
+    COO triplet per term and stencil point, with the duplicates summed by
+    scipy's ``tocsc`` in whatever order it takes them."""
+    if grid is None:
+        grid = Grid.from_spec(spec)
+    n = grid.n
+    shape = tuple(grid.shape)
+    h = grid.spacing
+    idx = np.arange(grid.size).reshape(shape)
+    rows, cols, data = [], [], []
+
+    def field_on(field, meshes, where):
+        with np.errstate(all="ignore"):
+            return np.asarray(_eval_field(field, tuple(meshes), where)).astype(complex)
+
+    def add(coef, offset):
+        rsl, csl = [], []
+        for ax, off in enumerate(offset):
+            m = shape[ax]
+            if off >= 0:
+                rsl.append(slice(0, m - off))
+                csl.append(slice(off, m))
+            else:
+                rsl.append(slice(-off, m))
+                csl.append(slice(0, m + off))
+        r = idx[tuple(rsl)].ravel()
+        if r.size == 0:
+            return
+        rows.append(r)
+        cols.append(idx[tuple(csl)].ravel())
+        data.append(np.broadcast_to(coef, shape)[tuple(rsl)].ravel().astype(complex))
+
+    def unit(ax, sign=1):
+        off = [0] * n
+        off[ax] = sign
+        return tuple(off)
+
+    def combo(ax1, s1, ax2, s2):
+        off = [0] * n
+        off[ax1] += s1
+        off[ax2] += s2
+        return tuple(off)
+
+    nodes = grid.meshes()
+    for k in range(n):
+        stag = _staggered_meshes(grid, k)
+        take_up = tuple(slice(1, None) if l == k else slice(None) for l in range(n))
+        take_dn = tuple(slice(None, -1) if l == k else slice(None) for l in range(n))
+        for l in range(n):
+            field = spec.A[k][l]
+            if field.is_zero:
+                continue
+            G = field_on(field, stag, f"A[{k}][{l}]")
+            g_up = G[take_up]
+            g_dn = G[take_dn]
+            if l == k:
+                hk2 = h[k] * h[k]
+                add(g_up / hk2, unit(k, +1))
+                add(g_dn / hk2, unit(k, -1))
+                add(-(g_up + g_dn) / hk2, unit(k, 0))
+            else:
+                q = 1.0 / (4.0 * h[k] * h[l])
+                add((g_up - g_dn) * q, unit(l, +1))
+                add(-(g_up - g_dn) * q, unit(l, -1))
+                add(g_up * q, combo(k, +1, l, +1))
+                add(-g_up * q, combo(k, +1, l, -1))
+                add(-g_dn * q, combo(k, -1, l, +1))
+                add(g_dn * q, combo(k, -1, l, -1))
+    for k in range(n):
+        if not spec.b[k].is_zero:
+            bk = field_on(spec.b[k], nodes, f"b[{k}]")
+            add(bk / (2.0 * h[k]), unit(k, +1))
+            add(-bk / (2.0 * h[k]), unit(k, -1))
+        if not spec.c[k].is_zero:
+            ck = field_on(spec.c[k], nodes, f"c[{k}]")
+            pad = [(0, 0)] * n
+            pad[k] = (1, 1)
+            ckp = np.pad(ck, pad)
+            up = tuple(slice(2, None) if l == k else slice(None) for l in range(n))
+            dn = tuple(slice(None, -2) if l == k else slice(None) for l in range(n))
+            add(ckp[up] / (2.0 * h[k]), unit(k, +1))
+            add(-ckp[dn] / (2.0 * h[k]), unit(k, -1))
+    if not spec.a.is_zero:
+        add(field_on(spec.a, nodes, "a"), (0,) * n)
+    if not rows:
+        return coo_matrix((grid.size, grid.size), dtype=complex).tocsc()
+    return coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.size, grid.size),
+    ).tocsc()
 
 
 # A one dimensional operator with every coefficient populated and

@@ -133,6 +133,46 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: A[0][0]: non-finite value at node ({node})\n"
 
+    @pytest.mark.parametrize(
+        "entries, argv, message",
+        [
+            (
+                {"A": [[{"re": "1e307"}]]},
+                ("simulate", "--p", "2", "--dt", "1e-3", "--t-end", "1e-2"),
+                "operator matrix: non-finite entry in the row of node (0.111111); "
+                "a coefficient is too large for the grid spacing",
+            ),
+            (
+                {"A": [[{"re": "1"}]], "b": [{"re": "1.7e308*sin(1e6*x1)"}]},
+                ("sufficiency", "--p", "2"),
+                "b[0]: non-finite divergence near node (0.111111)",
+            ),
+            (
+                {"A": [[{"re": "1"}]], "b": [{"re": "1.7e308*sin(1e6*x1)"}]},
+                ("falsify", "--p", "2", "--budget", "3"),
+                "b[0]: non-finite divergence near node (0.111111)",
+            ),
+        ],
+        ids=["stiff-simulate", "divergence-sufficiency", "divergence-falsify"],
+    )
+    def test_an_overflow_past_sampling_is_one_error_line(self, tmp_path, entries, argv, message):
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps({"n": 1, "domain": [[0, 1]], "grid": [8], **entries}), encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_a_too_deeply_nested_document_is_one_error_line(self, tmp_path):
+        bad = tmp_path / "nested.json"
+        bad.write_text('{"n": 1, "A": ' + "[" * 100000 + "]" * 100000 + "}", encoding="ascii")
+        code, out, err = run_cli("interval", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: $: document is nested too deeply\n"
+
     def test_schema_violation(self, tmp_path):
         bad = tmp_path / "coarse.json"
         bad.write_text(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,13 @@ class TestDocumentValidation:
         with pytest.raises(SpecError, match="not valid JSON"):
             load_doc(path)
 
+    def test_load_doc_reports_a_too_deeply_nested_document(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="ascii")
+        with pytest.raises(SpecError, match=r"^\$: document is nested too deeply$") as exc:
+            load_doc(path)
+        assert exc.value.path == "$"
+
     def test_minimal_document_loads(self):
         spec = spec_from_dict(minimal_doc())
         assert spec.n == 1
@@ -430,6 +438,34 @@ class TestSampling:
         spec = spec_from_dict(minimal_doc(a={"re": "exp(10000*x1)"}))
         with pytest.raises(EvalDomainError, match="non-finite"):
             sample_operator(spec, np.array([[0.5]]))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (minimal_doc(b=[{"re": "1.7e308*sin(1e6*x1)"}]), r"^b\[0\]: non-finite divergence near node \(0\.25\)$"),
+            (minimal_doc(c=[{"im": "1.7e308*sin(1e6*x1)"}]), r"^c\[0\]: non-finite divergence near node \(0\.25\)$"),
+            # each component's difference is finite, their sum is not
+            (
+                minimal_doc(
+                    n=2,
+                    domain=[[0.0, 1.0], [0.0, 1.0]],
+                    grid=[8, 8],
+                    A=[[{"re": "1"}, {}], [{}, {"re": "1"}]],
+                    b=[{"re": "1.7e308*x1"}, {"re": "1.7e308*x2"}],
+                ),
+                r"^b\[1\]: non-finite divergence near node \(0\.25, 0\.25\)$",
+            ),
+        ],
+        ids=["b", "c", "sum"],
+    )
+    def test_a_divergence_that_overflows_names_its_component(self, doc, message):
+        spec = spec_from_dict(doc)
+        pts = np.full((2, spec.n), 0.25)
+        pts[1] = 0.75
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalDomainError, match=message):
+                sample_operator(spec, pts)
 
     def test_shapes(self):
         doc = minimal_doc(

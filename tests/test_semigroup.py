@@ -1,6 +1,8 @@
 """Discretization, norm traces, implicit Euler evolution, growth rates."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from dissipate.semigroup import (
     lp_norm,
 )
 
-from conftest import complex_evolve_oracle, preset, run_cli
+from conftest import PRESET_DIR, complex_evolve_oracle, discretize_triplet_oracle, preset, run_cli
 
 
 def doc_1d(**over):
@@ -105,6 +107,93 @@ class TestAssembly:
         # symmetric matrix even when the coefficient varies
         M = dense(doc_1d(A=[[{"re": "2 + sin(pi*x1)"}]], grid=[16]))
         np.testing.assert_allclose(M, M.T, atol=0.0)
+
+
+def _seeded_expr(rng, n):
+    """A smooth real field in x1..xn with seeded coefficients."""
+    c = rng.uniform(-1.0, 1.0, n + 2)
+    phase = "+".join(f"{c[j + 2]:.4f}*x{j + 1}" for j in range(n))
+    return f"{c[0]:.4f}*sin({phase}) + {c[1]:.4f}*cos({2.0 * c[1]:.4f}*x1)"
+
+
+def _every_term_doc(rng, n, grid):
+    """A variable field with every term: A with cross terms, b, c and a."""
+    def entry():
+        return {"re": _seeded_expr(rng, n), "im": _seeded_expr(rng, n)}
+
+    A = [[entry() for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        A[k][k]["re"] = "2 + " + A[k][k]["re"]
+    return {
+        "n": n,
+        "domain": [[0.0, 1.0 + 0.25 * k] for k in range(n)],
+        "grid": grid,
+        "A": A,
+        "b": [entry() for _ in range(n)],
+        "c": [entry() for _ in range(n)],
+        "a": entry(),
+    }
+
+
+def _same_bytes(got, ref):
+    return (
+        got.indptr.tobytes() == ref.indptr.tobytes()
+        and got.indices.tobytes() == ref.indices.tobytes()
+        and got.data.tobytes() == ref.data.tobytes()
+    )
+
+
+class TestStencilTable:
+    """``discretize`` sums each entry once in term order; the triplet
+    oracle leaves the duplicates to scipy."""
+
+    @pytest.mark.parametrize("path", sorted(PRESET_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_every_preset_matches_the_triplet_oracle_bit_for_bit(self, path):
+        spec = spec_from_dict(json.loads(path.read_text(encoding="ascii")))
+        assert _same_bytes(discretize(spec).matrix, discretize_triplet_oracle(spec))
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[{"re": "1.5"}, {}, {}], [{}, {"re": "0.75"}, {}], [{}, {}, {"re": "2"}]],
+            [[{"re": "1"}, {"im": "3"}, {}], [{"im": "-3"}, {"re": "1"}, {}], [{}, {}, {"re": "2"}]],
+            [[{"re": "0"}, {}, {}], [{}, {}, {}], [{}, {}, {}]],
+            # the corner stencils of A[0][1] alone hold -0.0 real parts,
+            # which an entry that starts from +0.0 would lose
+            [[{"re": "1"}, {"re": "-0*x1"}, {}], [{}, {"re": "1"}, {}], [{}, {}, {"re": "2"}]],
+        ],
+        ids=["diagonal", "skew", "zero", "negative-zero"],
+    )
+    def test_a_3d_document_matches_the_triplet_oracle_bit_for_bit(self, A):
+        doc = {"n": 3, "domain": [[0.0, 1.0], [0.0, 0.8], [0.0, 1.3]], "grid": [8, 9, 10], "A": A}
+        spec = spec_from_dict(doc)
+        assert _same_bytes(discretize(spec).matrix, discretize_triplet_oracle(spec))
+
+    @pytest.mark.parametrize("grid", [[40], [12, 9], [8, 9, 8]], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_term_matches_the_triplet_oracle_within_4_ulp(self, grid, seed):
+        # scipy sums three or more duplicates in an order of its own, so
+        # only the structure is exact; each entry agrees to 4 ulp of itself
+        spec = spec_from_dict(_every_term_doc(np.random.default_rng([seed, len(grid)]), len(grid), grid))
+        got = discretize(spec).matrix
+        ref = discretize_triplet_oracle(spec)
+        assert got.indptr.tobytes() == ref.indptr.tobytes()
+        assert got.indices.tobytes() == ref.indices.tobytes()
+        assert np.all(np.abs(got.data - ref.data) <= 4.0 * np.finfo(float).eps * np.abs(ref.data))
+
+    @pytest.mark.parametrize(
+        "over, node",
+        [
+            ({"A": [[{"re": "1e307"}]]}, "0.111111"),
+            ({"b": [{"re": "1e308*x1"}]}, "0.444444"),
+        ],
+        ids=["A", "b"],
+    )
+    def test_an_entry_too_large_for_the_spacing_is_one_value_error(self, over, node):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^operator matrix: non-finite entry in the row of node \({node}\)"):
+                discretize(spec_from_dict(doc_1d(**over)))
 
 
 class TestNorms:
