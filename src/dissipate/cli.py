@@ -15,6 +15,16 @@ Exit codes: 0 analysis completed (whatever the verdict), 1 verdict "not
 dissipative" under ``check --strict``, 2 input error.  Reports echo the
 normalized inputs and a content digest of the operator document, never
 file paths, so output is byte-stable across checkouts.
+
+Every subcommand takes one path through ``main``: load the document (the
+``spec`` file, or the bundled preset of ``examples --id``), build the
+spec, validate ``--p`` where the subcommand has it, run the handler, and
+render the report under the document's digest.  Input errors surface in
+that order: a bad document before a bad exponent, and both before any
+sampling.  A handler maps ``(spec, p, args)`` to
+``(sections, exit_code)``, where ``sections`` holds the report's
+``inputs``, ``verdict`` and ``numbers`` and, when it has them, its
+``witness`` and ``notes``; ``p`` is None for subcommands without ``--p``.
 """
 
 from __future__ import annotations
@@ -49,24 +59,17 @@ from .pointwise import (
     q_sufficiency,
     violating_direction,
 )
-from .report import Report, render_report, spec_digest
+from .report import render_report, spec_digest
 from .semigroup import discretize, estimate_omega, evolve
 from .version import __version__
 
 __all__ = ["main"]
-
-_PRESET_IDS = {1: "example1", 2: "example2", 3: "example3"}
 
 
 def load_preset(name):
     """Parsed document of a bundled operator JSON (presets/<name>.json)."""
     ref = resources.files("dissipate") / "presets" / f"{name}.json"
     return json.loads(ref.read_text(encoding="ascii"))
-
-
-def _load(path):
-    doc = load_doc(path)
-    return spec_from_dict(doc), spec_digest(doc)
 
 
 def _field_samples(spec):
@@ -100,21 +103,18 @@ def _qualifier(spec, sam):
     return "necessary-only"
 
 
-def _canonical_bump(grid, domain):
+def _canonical_bump(grid):
     vals = np.ones(grid.shape)
-    for k, mesh in enumerate(grid.meshes()):
-        lo, hi = domain[k]
+    for lo, hi, mesh in zip(grid.lo, grid.hi, grid.meshes()):
         vals = vals * bump((2.0 * mesh - lo - hi) / (hi - lo))
     return GridFunction(grid, vals)
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers (each returns (Report, exit_code))
+# subcommand handlers (each returns (sections, exit_code))
 
 
-def _cmd_check(args):
-    spec, digest = _load(args.spec)
-    p = _validate_p(args.p)
+def _cmd_check(spec, p, args):
     sam, pts = _field_samples(spec)
     holds, bad = _condition_everywhere(sam, p)
     qualifier = _qualifier(spec, sam)
@@ -130,9 +130,7 @@ def _cmd_check(args):
             "node": [float(v) for v in pts[bad]],
             "xi": violating_direction(decompose(sam.A[bad]), p).tolist(),
         }
-    report = Report(
-        command="check",
-        spec=digest,
+    return dict(
         inputs={"p": p, "strict": bool(args.strict)},
         verdict={
             "decision": holds,
@@ -142,12 +140,10 @@ def _cmd_check(args):
         },
         numbers={"nodes": int(sam.A.shape[0])},
         witness=witness,
-    )
-    return report, (1 if args.strict and not holds else 0)
+    ), (1 if args.strict and not holds else 0)
 
 
-def _cmd_interval(args):
-    spec, digest = _load(args.spec)
+def _cmd_interval(spec, p, args):
     sam, pts = _field_samples(spec)
     res = lambda_of(decompose(sam.A))
     lam = res.lam
@@ -157,9 +153,7 @@ def _cmd_interval(args):
         witness = {"xi": list(res.witness_xi)}
         if sam.A.shape[0] > 1:
             witness["node"] = [float(v) for v in pts[res.node]]
-    report = Report(
-        command="interval",
-        spec=digest,
+    return dict(
         inputs={},
         verdict={
             "decision": lam > 0.0,
@@ -174,53 +168,37 @@ def _cmd_interval(args):
             "nodes": int(sam.A.shape[0]),
         },
         witness=witness,
-    )
-    return report, 0
+    ), 0
 
 
 def _constant_sections(sam, p):
-    """Verdict, numbers and witness of the constant coefficient decision
-    on the single-node samples of a constant operator."""
+    """Verdict, numbers and witness sections of the constant coefficient
+    decision on the single-node samples of a constant operator."""
     b_eff = sam.b[0] + sam.c[0]  # constant c acts as a drift: div(c u) = c . grad u
     v = constant_coeff_verdict(sam.A[0], b_eff, sam.a[0], p)
-    verdict = {"decision": v.ok, "criterion": "const_coeff", "reason": v.reason}
-    numbers = {"margin": v.margin, "corollary_margin": v.corollary_margin, "residual": v.residual}
-    witness = {"V": list(v.V)} if v.V is not None else None
-    return verdict, numbers, witness
+    return dict(
+        verdict={"decision": v.ok, "criterion": "const_coeff", "reason": v.reason},
+        numbers={"margin": v.margin, "corollary_margin": v.corollary_margin, "residual": v.residual},
+        witness={"V": list(v.V)} if v.V is not None else None,
+    )
 
 
-def _cmd_constant(args):
-    spec, digest = _load(args.spec)
-    p = _validate_p(args.p)
+def _cmd_constant(spec, p, args):
     if not spec.is_constant:
         raise SpecError("$", "constant verdict needs constant coefficients")
     sam, _ = _field_samples(spec)
-    verdict, numbers, witness = _constant_sections(sam, p)
     notes = ()
     if np.any(sam.c[0] != 0.0):
         notes = ("constant c folded into the drift term",)
-    report = Report(
-        command="constant",
-        spec=digest,
-        inputs={"p": p},
-        verdict=verdict,
-        numbers=numbers,
-        witness=witness,
-        notes=notes,
-    )
-    return report, 0
+    return dict(inputs={"p": p}, **_constant_sections(sam, p), notes=notes), 0
 
 
-def _cmd_sufficiency(args):
-    spec, digest = _load(args.spec)
-    p = _validate_p(args.p)
+def _cmd_sufficiency(spec, p, args):
     sam, pts = _field_samples(spec)
     q = q_sufficiency(sam.A, sam.b, sam.c, sam.a, sam.div_b, sam.div_c, p, args.alpha, args.beta)
     bad = int(np.argmin(q.ok))
     witness = None if q.ok[bad] else {"node": [float(v) for v in pts[bad]]}
-    report = Report(
-        command="sufficiency",
-        spec=digest,
+    return dict(
         inputs={"p": p, "alpha": float(args.alpha), "beta": float(args.beta)},
         verdict={"decision": witness is None, "criterion": "q_sufficient"},
         numbers={
@@ -231,8 +209,7 @@ def _cmd_sufficiency(args):
             "min_value": float(q.min_value[np.argmin(q.min_value)]),
         },
         witness=witness,
-    )
-    return report, 0
+    ), 0
 
 
 def _falsify_witness(res):
@@ -245,9 +222,7 @@ def _falsify_witness(res):
     }
 
 
-def _cmd_falsify(args):
-    spec, digest = _load(args.spec)
-    p = _validate_p(args.p)
+def _cmd_falsify(spec, p, args):
     res = falsify(spec, p, budget=args.budget, seed=args.seed)
     verdict = {
         "decision": False if res.found else None,
@@ -255,9 +230,7 @@ def _cmd_falsify(args):
     }
     if not res.found:
         verdict["qualifier"] = "no-counterexample-found"
-    report = Report(
-        command="falsify",
-        spec=digest,
+    return dict(
         inputs={"p": p, "budget": int(args.budget), "seed": int(args.seed)},
         verdict=verdict,
         numbers={
@@ -266,22 +239,17 @@ def _cmd_falsify(args):
             "evaluations": int(res.evaluations),
         },
         witness=_falsify_witness(res) if res.found else None,
-    )
-    return report, 0
+    ), 0
 
 
-def _cmd_simulate(args):
-    spec, digest = _load(args.spec)
-    p = _validate_p(args.p)
+def _cmd_simulate(spec, p, args):
     op = discretize(spec)
-    u0 = _canonical_bump(op.grid, spec.domain)
+    u0 = _canonical_bump(op.grid)
     trace = evolve(op, u0, dt=args.dt, t_end=args.t_end, p=p)
     if args.trace_csv:
         trace.write_csv(args.trace_csv)
     noninc = trace.nonincreasing(per_step_tol=1e-10)
-    report = Report(
-        command="simulate",
-        spec=digest,
+    return dict(
         inputs={
             "p": p,
             "dt": float(args.dt),
@@ -296,23 +264,10 @@ def _cmd_simulate(args):
             "fitted_rate": trace.fitted_rate(),
             "omega_estimate": estimate_omega(trace),
         },
-    )
-    return report, 0
+    ), 0
 
 
-def _cmd_examples(args):
-    name = _PRESET_IDS[args.id]
-    doc = load_preset(name)
-    spec = spec_from_dict(doc)
-    digest = spec_digest(doc)
-    if args.id == 1:
-        return _example_skew_field(spec, digest), 0
-    if args.id == 2:
-        return _example_quasi_only(spec, digest), 0
-    return _example_constant_endpoint(spec, digest), 0
-
-
-def _example_skew_field(spec, digest):
+def _example_skew_field(spec):
     """Dissipative for every p, yet the quadratic sufficiency route and
     the falsifier both (correctly) stay quiet about the other side."""
     sam, _ = _field_samples(spec)
@@ -332,9 +287,7 @@ def _example_skew_field(spec, digest):
             "falsify_evaluations": int(fr.evaluations),
         }
     )
-    return Report(
-        command="examples",
-        spec=digest,
+    return dict(
         inputs={"id": 1, "p": [1.5, 2.0, 4.0]},
         verdict={
             "decision": all_hold,
@@ -349,7 +302,7 @@ def _example_skew_field(spec, digest):
     )
 
 
-def _example_quasi_only(spec, digest):
+def _example_quasi_only(spec):
     """Pointwise condition satisfied, yet a wave probe drives the form
     negative: dissipative only up to a finite positive growth bound."""
     sam, _ = _field_samples(spec)
@@ -373,9 +326,7 @@ def _example_quasi_only(spec, digest):
             }
         )
         witness = _falsify_witness(fr)
-    return Report(
-        command="examples",
-        spec=digest,
+    return dict(
         inputs={"id": 2, "p": 2.0},
         verdict={
             "decision": False if fr.found else None,
@@ -392,23 +343,24 @@ def _example_quasi_only(spec, digest):
     )
 
 
-def _example_constant_endpoint(spec, digest):
+def _example_constant_endpoint(spec):
     """Constant coefficients sitting exactly on the admissibility edge at p = 4."""
     p = 4.0
     sam, _ = _field_samples(spec)
-    verdict, numbers, witness = _constant_sections(sam, p)
+    sections = _constant_sections(sam, p)
     res = lambda_of(decompose(sam.A[0]))
     itv = p_interval(res.lam)
-    numbers.update({"lambda": res.lam, "p_min": itv.p_min, "p_max": itv.p_max})
-    return Report(
-        command="examples",
-        spec=digest,
+    sections["numbers"].update({"lambda": res.lam, "p_min": itv.p_min, "p_max": itv.p_max})
+    return dict(
         inputs={"id": 3, "p": p},
-        verdict=verdict,
-        numbers=numbers,
-        witness=witness,
+        **sections,
         notes=("both verdict clauses sit at exact equality for p = 4",),
     )
+
+
+def _cmd_examples(spec, p, args):
+    build = (_example_skew_field, _example_quasi_only, _example_constant_endpoint)[args.id - 1]
+    return build(spec), 0
 
 
 # ----------------------------------------------------------------------
@@ -435,33 +387,28 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="cmd")
 
-    sub = subs.add_parser("check", parents=[common], help="pointwise algebraic condition at one exponent")
-    sub.add_argument("spec", help="operator JSON document")
-    sub.add_argument("--p", type=float, required=True, help="Lebesgue exponent")
+    spec_arg = argparse.ArgumentParser(add_help=False)
+    spec_arg.add_argument("spec", help="operator JSON document")
+    p_arg = argparse.ArgumentParser(add_help=False)
+    p_arg.add_argument("--p", type=float, required=True, help="Lebesgue exponent")
+    with_p = [common, spec_arg, p_arg]
+
+    sub = subs.add_parser("check", parents=with_p, help="pointwise algebraic condition at one exponent")
     sub.add_argument("--strict", action="store_true", help="exit 1 when the condition fails")
 
-    sub = subs.add_parser("interval", parents=[common], help="admissible exponent interval")
-    sub.add_argument("spec")
+    subs.add_parser("interval", parents=[common, spec_arg], help="admissible exponent interval")
 
-    sub = subs.add_parser("constant", parents=[common], help="constant coefficient verdict with drift and zero order terms")
-    sub.add_argument("spec")
-    sub.add_argument("--p", type=float, required=True)
+    subs.add_parser("constant", parents=with_p, help="constant coefficient verdict with drift and zero order terms")
 
-    sub = subs.add_parser("sufficiency", parents=[common], help="quadratic form sufficiency with splitting weights")
-    sub.add_argument("spec")
-    sub.add_argument("--p", type=float, required=True)
+    sub = subs.add_parser("sufficiency", parents=with_p, help="quadratic form sufficiency with splitting weights")
     sub.add_argument("--alpha", type=float, default=0.0)
     sub.add_argument("--beta", type=float, default=0.0)
 
-    sub = subs.add_parser("falsify", parents=[common], help="search for a test function violating the form")
-    sub.add_argument("spec")
-    sub.add_argument("--p", type=float, required=True)
+    sub = subs.add_parser("falsify", parents=with_p, help="search for a test function violating the form")
     sub.add_argument("--budget", type=int, default=2000, help="evaluation budget")
     sub.add_argument("--seed", type=int, default=0)
 
-    sub = subs.add_parser("simulate", parents=[common], help="implicit Euler evolution of a bump, tracking the L^p norm")
-    sub.add_argument("spec")
-    sub.add_argument("--p", type=float, required=True)
+    sub = subs.add_parser("simulate", parents=with_p, help="implicit Euler evolution of a bump, tracking the L^p norm")
     sub.add_argument("--dt", type=float, required=True)
     sub.add_argument("--t-end", type=float, required=True)
     sub.add_argument("--trace-csv", default=None, help="write the norm trace as CSV")
@@ -490,7 +437,10 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return 2
     try:
-        report, code = _DISPATCH[args.cmd](args)
+        doc = load_preset(f"example{args.id}") if args.cmd == "examples" else load_doc(args.spec)
+        spec = spec_from_dict(doc)
+        p = _validate_p(args.p) if "p" in args else None
+        sections, code = _DISPATCH[args.cmd](spec, p, args)
     except (
         SpecError,
         ExprError,
@@ -505,9 +455,8 @@ def main(argv=None):
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
     fmt = getattr(args, "format_opt", None) or args.format_root or "text"
-    sys.stdout.write(render_report(report, fmt))
+    sys.stdout.write(render_report(args.cmd, spec_digest(doc), sections, fmt))
     return code
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -117,10 +117,12 @@ def decompose(A):
         raise ValueError("expected a square matrix")
     re = A.real
     im = A.imag
-    return SymDecomp(
-        S_r=0.5 * (re + re.swapaxes(-1, -2)),
-        S_i=0.5 * (im + im.swapaxes(-1, -2)),
-    )
+    # a sum past the float range is left inf for SymDecomp's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SymDecomp(
+            S_r=0.5 * (re + re.swapaxes(-1, -2)),
+            S_i=0.5 * (im + im.swapaxes(-1, -2)),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +272,16 @@ def lambda_nodes(d):
     lam = np.full(len(S_r), math.inf)
     lam_hi = np.full(len(S_r), math.inf)
 
+    # The nodes that see Im A, by Frobenius norms of each node's pair scaled
+    # down by the power of two at its largest entry.  The scaling is exact,
+    # and it keeps the squares of entries past about 1e154 finite, where
+    # inf > inf would count the node as blind.
+    big = np.maximum(np.abs(S_r).max(axis=(1, 2)), np.abs(S_i).max(axis=(1, 2)))
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], 0))
+    seeing = np.linalg.norm(S_i * scale[:, None, None], axis=(1, 2)) > TOL_ZERO * (
+        scale + np.linalg.norm(S_r * scale[:, None, None], axis=(1, 2))
+    )
     # the nodes still searching, with their pencils, tolerances and brackets
-    seeing = np.linalg.norm(S_i, axis=(1, 2)) > TOL_ZERO * (1.0 + np.linalg.norm(S_r, axis=(1, 2)))
     nodes = np.flatnonzero(seeing)
     S_r, S_i, tol = S_r[nodes], S_i[nodes], tol[nodes]
     # Seed: min eig(S_r +- t S_i) >= -tol says (S_r + tol I) +- t S_i is PSD,
@@ -493,7 +503,8 @@ def constant_coeff_verdict(A, b, a, p):
     n = A.shape[0]
     b = np.asarray(b, dtype=complex).reshape(n)
     a = complex(a)
-    A = 0.5 * (A + A.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 0.5 * (A + A.T)
     d = decompose(A)
 
     imb = b.imag.astype(float)

@@ -1,10 +1,11 @@
 """Deterministic rendering of analysis reports.
 
-A Report is plain data: the command name, a content digest of the
-operator document it ran on, the echoed inputs, a verdict section
-(decision plus the criterion that produced it), numeric results,
-optional witness data and free-form notes.  Rendering is byte
-deterministic so golden files can compare exact output:
+A report is plain data: the command name, a content digest of the
+operator document it ran on, and the sections a command handler
+returns: the echoed inputs, a verdict (decision plus the criterion that
+produced it), numeric results, optional witness data and free-form
+notes.  Rendering is byte deterministic so golden files can compare
+exact output:
 
 * key order is fixed by construction (insertion order, never sorted
   at render time),
@@ -20,28 +21,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Report", "render_report", "spec_digest"]
+__all__ = ["render_report", "spec_digest"]
 
 
 def spec_digest(doc):
     """Short content hash of a parsed operator document."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
-
-
-@dataclass
-class Report:
-    command: str
-    spec: str | None
-    inputs: dict
-    verdict: dict
-    numbers: dict
-    witness: dict | None = None
-    notes: tuple = ()
 
 
 def _clean(obj):
@@ -55,12 +44,8 @@ def _clean(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return float(obj)
-    if isinstance(obj, complex):
-        return {"re": _clean(obj.real), "im": _clean(obj.imag)}
     if isinstance(obj, np.generic):
         return _clean(obj.item())
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -86,41 +71,38 @@ def _scalar(v):
     return "{" + ", ".join(f"{k}: {_scalar(x)}" for k, x in v.items()) + "}"
 
 
-def render_report(report, format="text"):
-    """Render a Report to a string; format is "json" or "text"."""
-    payload = {
-        "command": report.command,
-        "spec": report.spec,
-        "inputs": _clean(report.inputs),
-        "verdict": _clean(report.verdict),
-        "numbers": _clean(report.numbers),
-        "witness": _clean(report.witness),
-        "notes": _clean(list(report.notes)),
+def render_report(command, spec, sections, format="text"):
+    """Render one report to a string; format is "json" or "text".
+
+    ``spec`` is the digest of the operator document and ``sections`` a
+    dict of any of "inputs", "verdict", "numbers", "witness" and "notes".
+    """
+    payload = _clean({
+        "command": command,
+        "spec": spec,
+        "inputs": None,
+        "verdict": None,
+        "numbers": None,
+        "witness": None,
+        "notes": (),
+        **sections,
         "timing": None,
-    }
+    })
     if format == "json":
         return json.dumps(payload, indent=2) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 
-    lines = [f"dissipate {report.command}"]
-    if report.spec:
-        lines.append(f"spec {report.spec}")
-    for name in ("inputs", "verdict", "numbers"):
+    lines = [f"dissipate {command}", f"spec {spec}"]
+    for name in ("inputs", "verdict", "numbers", "witness"):
         section = payload[name]
         lines.append("")
         lines.append(name)
         if not section:
             lines.append("  (none)")
+            continue
         for k, v in section.items():
             lines.append(f"  {k}: {_scalar(v)}")
-    lines.append("")
-    lines.append("witness")
-    if payload["witness"]:
-        for k, v in payload["witness"].items():
-            lines.append(f"  {k}: {_scalar(v)}")
-    else:
-        lines.append("  (none)")
     if payload["notes"]:
         lines.append("")
         lines.append("notes")

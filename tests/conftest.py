@@ -144,7 +144,7 @@ def lam_bracket_oracle(S_r, S_i):
     upper end of its final bracket, both inf when the ratio is.
     """
     feasible, tol = pencil_oracle(S_r, S_i)
-    if np.linalg.norm(S_i) == 0.0:
+    if not S_i.any():
         return math.inf, math.inf
     w, V = np.linalg.eigh(S_r)
     t0, rel = 1.0, 0.0
@@ -167,7 +167,7 @@ def lam_doubling_oracle(S_r, S_i):
     while its top is feasible, else [0, 1], then bisection.  Returns
     (lam, hi) as ``lam_bracket_oracle`` does."""
     feasible, _ = pencil_oracle(S_r, S_i)
-    if np.linalg.norm(S_i) == 0.0:
+    if not S_i.any():
         return math.inf, math.inf
     if feasible(1.0):
         return _doubled(feasible, 1.0, 2.0)

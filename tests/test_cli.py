@@ -10,9 +10,10 @@ import pytest
 
 from dissipate import cli, formcheck
 from dissipate.cli import _build_parser
-from dissipate.coeffspec import NODE_CAP, sample_operator, spec_from_dict
+from dissipate.coeffspec import NODE_CAP, load_doc, sample_operator, spec_from_dict
 from dissipate.grids import Grid
 from dissipate.pointwise import decompose, p_interval, q_sufficiency
+from dissipate.report import spec_digest
 
 from conftest import (
     GOLDEN_CASES,
@@ -24,6 +25,12 @@ from conftest import (
     run_cli,
 )
 
+NEAR_MAX_OFF_DIAGONALS = {
+    "n": 2,
+    "domain": [[0, 1], [0, 1]],
+    "grid": [8, 8],
+    "A": [[{"re": "1"}, {"re": "1e308"}], [{"re": "1e308"}, {"re": "1"}]],
+}
 PAYLOAD_KEYS = ["command", "spec", "inputs", "verdict", "numbers", "witness", "notes", "timing"]
 
 
@@ -152,8 +159,16 @@ class TestExitCodes:
                 ("falsify", "--p", "2", "--budget", "3"),
                 "b[0]: non-finite divergence near node (0.111111)",
             ),
+        ]
+        # off-diagonals whose sum overflows when A is symmetrized
+        + [
+            (NEAR_MAX_OFF_DIAGONALS, argv, "matrix is not finite and symmetric")
+            for argv in (("check", "--p", "2"), ("interval",), ("sufficiency", "--p", "2"), ("constant", "--p", "2"))
         ],
-        ids=["stiff-simulate", "divergence-sufficiency", "divergence-falsify"],
+        ids=[
+            "stiff-simulate", "divergence-sufficiency", "divergence-falsify",
+            "near-max-check", "near-max-interval", "near-max-sufficiency", "near-max-constant",
+        ],
     )
     def test_an_overflow_past_sampling_is_one_error_line(self, tmp_path, entries, argv, message):
         bad = tmp_path / "overflow.json"
@@ -268,7 +283,7 @@ class TestExitCodes:
         (MemoryError(), "error: MemoryError\n"),
     ])
     def test_memory_error_exits_two(self, monkeypatch, err, shown):
-        def exhausted(args):
+        def exhausted(*args):
             raise err
 
         monkeypatch.setitem(cli._DISPATCH, "simulate", exhausted)
@@ -308,11 +323,29 @@ class TestExitCodes:
         assert exc.value.code == 0
 
 
+# one cheap run of each subcommand, with the document it reads
+EVERY_COMMAND = [
+    (("check", preset("one_plus_i_laplacian"), "--p", "3"), "one_plus_i_laplacian"),
+    (("interval", preset("one_plus_i_laplacian")), "one_plus_i_laplacian"),
+    (("constant", preset("example3"), "--p", "2"), "example3"),
+    (("sufficiency", preset("example1"), "--p", "2"), "example1"),
+    (("falsify", preset("example2"), "--p", "2", "--budget", "3"), "example2"),
+    (("simulate", preset("laplacian1d"), "--p", "2", "--dt", "1e-3", "--t-end", "1e-2"), "laplacian1d"),
+    (("examples", "--id", "3"), "example3"),
+]
+
+
 class TestRendering:
-    def test_json_payload_key_order(self):
-        payload = json_out("interval", preset("one_plus_i_laplacian"), "--format", "json")
+    @pytest.mark.parametrize("argv, doc", EVERY_COMMAND, ids=[argv[0] for argv, _ in EVERY_COMMAND])
+    def test_json_payload_key_order(self, argv, doc):
+        payload = json_out(*argv, "--format", "json")
         assert list(payload) == PAYLOAD_KEYS
+        assert payload["command"] == argv[0]
+        assert payload["spec"] == spec_digest(load_doc(preset(doc)))
         assert payload["timing"] is None
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert out.startswith(f"dissipate {argv[0]}\nspec {payload['spec']}\n\ninputs\n")
 
     def test_format_flag_is_accepted_before_the_subcommand(self):
         payload = json_out("--format", "json", "interval", preset("one_plus_i_laplacian"))
@@ -536,6 +569,27 @@ class TestInterval:
         assert payload["witness"]["xi"] == [1.0]
         pmin, pmax = payload["numbers"]["p_min"], payload["numbers"]["p_max"]
         assert abs(1.0 / pmin + 1.0 / pmax - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("scale", ["1e155", "1e200", "1e300"])
+    def test_the_interval_is_scale_free(self, tmp_path, scale):
+        # the condition is homogeneous in A; squared entries past about 1e154
+        # overflow, and an inf norm would read the interval as full
+        docs = {}
+        for name, s in (("unit", "1"), ("large", scale)):
+            entries = [[{"re": s, "im": s}, {}], [{}, {"re": s}]]
+            doc = {"n": 2, "domain": [[0, 1], [0, 1]], "grid": [8, 8], "A": entries}
+            docs[name] = tmp_path / f"{name}.json"
+            docs[name].write_text(json.dumps(doc), encoding="ascii")
+        unit = json_out("interval", str(docs["unit"]), "--format", "json")["numbers"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            large = json_out("interval", str(docs["large"]), "--format", "json")["numbers"]
+            check = json_out("check", str(docs["large"]), "--p", "10", "--format", "json")
+        assert large["full"] is False
+        assert large["p_min"] == pytest.approx(unit["p_min"], rel=1e-9)
+        assert large["p_max"] == pytest.approx(unit["p_max"], rel=1e-9)
+        assert check["verdict"]["decision"] is False
+        assert check["verdict"]["qualifier"] == "necessary-and-sufficient"
 
     def test_constant_interval_has_a_single_node(self):
         payload = json_out("interval", preset("example3"), "--format", "json")

@@ -1,6 +1,7 @@
 """Algebraic layer: eigenvalues, exponent intervals, pointwise verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,18 +301,38 @@ def wide_stack(n):
 class TestNodeKernels:
     """The node-batched bisection and p-condition against per-node oracles."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_ratio_and_bracket_equal_the_oracle_at_every_node(self, n):
-        A = wide_stack(n)
+    @staticmethod
+    def ratio_equal_to_the_oracle(A):
+        """lambda_nodes of the stack A, checked == the per-node oracle."""
         d = decompose(A)
         lam, hi = lambda_nodes(d)
         assert lam.shape == hi.shape == (len(A),)
         refs = [lam_bracket_oracle(d.S_r[j], d.S_i[j]) for j in range(len(A))]
         assert lam.tolist() == [r[0] for r in refs]
         assert hi.tolist() == [r[1] for r in refs]
+        return lam
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_ratio_and_bracket_equal_the_oracle_at_every_node(self, n):
+        lam = self.ratio_equal_to_the_oracle(wide_stack(n))
         assert np.isinf(lam).any()  # S_i = 0 nodes
         assert (lam[np.isfinite(lam)] > 1.0).any()
         assert (lam < 1.0).any()
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_the_ratio_of_large_coefficients_equals_the_oracle(self, n, scale):
+        # the ratio is homogeneous in A once the 1 in the PSD tolerance is
+        # negligible; squared entries past about 1e154 overflow, and an
+        # inf norm would read every node as blind to Im A
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = self.ratio_equal_to_the_oracle(wide_stack(n) * scale)
+        ref, _ = lambda_nodes(decompose(wide_stack(n) * 1e100))
+        assert np.array_equal(np.isinf(lam), np.isinf(ref))
+        finite = np.isfinite(ref)
+        # the bisection stops at width 1e-12 (1 + hi), absolute near t = 0
+        np.testing.assert_allclose(lam[finite], ref[finite], rtol=1e-9, atol=1e-11)
 
     def test_stack_shape_is_kept(self):
         A = node_stack(2, seed=7, count=12).reshape(3, 4, 2, 2)
