@@ -22,7 +22,9 @@ Two routes to the same number:
 
 ``FormEvaluator`` samples the coefficients once per grid and keeps A
 and A - A* node last, as (n, n, m) arrays, so that each quadratic form
-is one einsum whose inner loop runs over the m nodes.
+is one einsum whose inner loop runs over the m nodes.  It writes each
+evaluation's gradient and conjugates into work buffers of its own, so
+one evaluator serves one caller at a time.
 
 ``equivalence_gap`` measures how far the two routes drift apart for a
 given u (it vanishes like h^2 for smooth data).  ``operator_form``
@@ -30,13 +32,18 @@ pairs the assembled discrete operator with |u|^{p-2} u and should be
 minus ``form_direct`` up to the same discretization error.
 ``falsify`` hunts for a test function making the functional negative:
 three seeded families of structured probes plus a coordinate descent
-polish, reproducible for a given seed.
+polish, reproducible for a given seed.  A descent trial moves one
+coordinate, so each run keeps the factors its probes are built from
+(per-axis bumps, the last profile, plane waves, the log-spiral's
+logarithm) and a trial rebuilds only the factor its step changed; a
+kept factor is the array a fresh build computes, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +56,8 @@ from .semigroup import discretize
 MASK_EPS = 1e-12   # relative modulus threshold for the direction split
 TOL_NEG = 1e-9     # relative negativity threshold for the falsifier
 BUDGET_CAP = 100_000  # most evaluations one falsifier run may ask for
+_BUMP_SLOTS = 64    # per-axis bumps one falsifier run keeps
+_WAVE_SLOTS = 4     # plane-wave factors one falsifier run keeps (a probe has 2 at most)
 
 __all__ = [
     "MASK_EPS",
@@ -91,16 +100,20 @@ def gradient_split(v):
     return _split(v.values.reshape(-1), v.gradient().reshape(v.grid.n, -1))
 
 
-def _split(flat, g):
-    """GradientSplit of the flattened values given their gradient (n, m)."""
+def _split(flat, g, out=None):
+    """GradientSplit of the flattened values given their gradient (n, m).
+
+    ``out``, an (n, m) complex array, takes the product of the phase and
+    the gradient, which the split does not keep.
+    """
     absv = np.abs(flat)
     vmax = absv.max(initial=0.0)
     unmasked = absv > MASK_EPS * vmax
     phase = np.zeros(flat.shape, dtype=complex)
     np.divide(flat.conj(), absv, out=phase, where=unmasked)
-    w = phase[None, :] * g
-    X = np.where(unmasked[None, :], w.real, 0.0)
-    Y = np.where(unmasked[None, :], w.imag, 0.0)
+    w = np.multiply(phase, g, out=out)
+    X = np.where(unmasked, w.real, 0.0)
+    Y = np.where(unmasked, w.imag, 0.0)
     return GradientSplit(X=X, Y=Y, grad=g, unmasked=unmasked)
 
 
@@ -115,59 +128,78 @@ class FormEvaluator:
 
     ``A`` and ``A - A*`` are stored node last, as C-contiguous (n, n, m)
     arrays, so each quadratic form is one einsum whose inner loop runs
-    over the nodes.  ``gamma = 1 - 2/p`` and the zero order factor
-    Re(div b/p - div c/p' - a), None where it vanishes, are computed once.
+    over the nodes; ``re_A``, the real part of A, is kept contiguous for
+    the term in X alone, which is real (see ``value``).  ``gamma = 1 -
+    2/p``, the quadrature weight and the zero order factor Re(div b/p -
+    div c/p' - a), None where it vanishes, are computed once.
+
+    ``value`` writes the gradient, conj(g) (later X + 0j) and conj(X + iY)
+    into (n, m) work buffers that the evaluator owns, so it is not
+    reentrant: an evaluator serves one caller at a time.
     """
 
     def __init__(self, spec, grid, p):
         self.grid = grid
         p = _validate_p(p)
         self.gamma = 1.0 - 2.0 / p
+        self.weight = grid.weight
         sam = sample_operator(spec, grid.points())
-        self.A = np.ascontiguousarray(sam.A.transpose(1, 2, 0))
-        self.A_minus_star = self.A - self.A.conj().transpose(1, 0, 2)
         self.im_bc = (sam.b + sam.c).imag.T  # (n, m)
         self.has_im_bc = bool(np.any(self.im_bc != 0.0))
         pc = p / (p - 1.0)
         zer = (sam.div_b / p - sam.div_c / pc - sam.a).real
         self.zero_order = zer if np.any(zer != 0.0) else None
+        self.A = np.ascontiguousarray(sam.A.transpose(1, 2, 0))
+        del sam  # the node-first samples go before the arrays below are made
+        self.re_A = np.ascontiguousarray(self.A.real)
+        self.A_minus_star = self.A - self.A.conj().transpose(1, 0, 2)
+        self._grad = np.empty((grid.n,) + tuple(grid.shape), dtype=complex)
+        self._conj_g = np.empty((grid.n, grid.size), dtype=complex)  # then X + 0j, then conj(v) g
+        self._conj_z = np.empty((grid.n, grid.size), dtype=complex)
 
     def value(self, values):
         """The transformed functional at grid values (any matching shape).
 
         At p = 2 the middle terms vanish and only the gradient is taken;
         otherwise the modulus direction split is built from that same
-        gradient.
+        gradient.  The last term, Re <A X, X>, is summed on Re A alone,
+        which is exact because X is real: the real part of the complex
+        product (a + ib)(X_k + 0i)(X_h + 0i) is (a X_k) X_h, up to adding
+        the zero b 0 and the sign of a zero, so each summand and the sum
+        are the same for finite values.  (A non-finite gradient makes
+        the value non-finite either way.)
         """
         gamma = self.gamma
         v = GridFunction(self.grid, np.asarray(values).reshape(self.grid.shape))
-        g = v.gradient().reshape(self.grid.n, -1)
+        g = v.gradient(out=self._grad).reshape(self.grid.n, -1)
         flat = v.values.reshape(-1)
 
-        total = np.einsum("hkj,kj,hj->j", self.A, g, g.conj()).real
+        total = np.einsum("hkj,kj,hj->j", self.A, g, np.conjugate(g, out=self._conj_g)).real
         if gamma != 0.0:
-            sp = _split(flat, g)
-            xc = sp.X + 0j
-            zc = (sp.X - 1j * sp.Y)  # conj(X + iY)
+            zc = self._conj_z
+            sp = _split(flat, g, out=zc)
+            xc = np.add(sp.X, 0j, out=self._conj_g)
+            np.copyto(zc.real, sp.X)
+            np.negative(sp.Y, out=zc.imag)  # zc = conj(X + iY)
             total = total - gamma * np.einsum(
                 "hkj,kj,hj->j", self.A_minus_star, xc, zc
             ).real
             total = total - gamma * gamma * np.einsum(
-                "hkj,kj,hj->j", self.A, xc, xc
-            ).real
+                "hkj,kj,hj->j", self.re_A, sp.X, sp.X
+            )
         if self.has_im_bc:
-            imvg = (flat.conj()[None, :] * g).imag
+            imvg = np.multiply(flat.conj(), g, out=self._conj_g).imag
             total = total + np.einsum("kj,kj->j", self.im_bc, imvg)
         if self.zero_order is not None:
             total = total + self.zero_order * (flat.real ** 2 + flat.imag ** 2)
-        return float(total.sum() * self.grid.weight)
+        return float(total.sum() * self.weight)
 
     def h1_scale(self, values):
         """Squared discrete H^1 size of the probe, for relative thresholds."""
         v = GridFunction(self.grid, np.asarray(values).reshape(self.grid.shape))
         g = v.gradient()
         s = np.sum(np.abs(v.values) ** 2) + np.sum(np.abs(g) ** 2)
-        return float(s * self.grid.weight)
+        return float(s * self.weight)
 
 
 def form_transformed(spec, v, p):
@@ -271,44 +303,85 @@ class FalsifyResult:
 _FAMILY_NAMES = {1: "log_spiral", 2: "plane_wave", 3: "wave_mix"}
 
 
-def _profile(axes, terms):
-    """Sum of positive separable bump terms: amp * prod bump((x-ctr)/rad).
+def _kept(table, slots, key, make):
+    """``table[key]``, made by ``make()`` on a miss; the table keeps the
+    ``slots`` most recently used entries."""
+    made = table.get(key)
+    if made is not None:
+        table.move_to_end(key)
+        return made
+    made = table[key] = make()
+    if len(table) > slots:
+        table.popitem(last=False)
+    return made
 
-    ``axes`` holds each axis's node coordinates shaped to broadcast
-    along that axis (``np.ix_`` of the grid axes): the bumps are taken
-    per axis and multiplied out in axis order, which gives the same
-    numbers as taking them on the full coordinate meshes.
+
+class _ProbeFactors:
+    """The factors of the probes one falsifier run builds, on its grid.
+
+    Each probe is a profile rho times a phase factor.  Kept, each in a
+    table of its most recently used entries: per-axis bumps keyed by
+    (axis, centre, radius), _BUMP_SLOTS of them; plane waves
+    exp(i t <k, x>) keyed by (t, k), _WAVE_SLOTS of them; the profile of
+    the last terms; and family 1's log(rho^2 + eps) of the last
+    (terms, eps).  Keys compare with ==, which joins only 0.0 and -0.0:
+    bumps are even, and neither a start nor a descent step gives
+    t = -0.0, so a kept factor is a fresh build's array bit for bit.  A
+    run therefore holds at most _WAVE_SLOTS + 2 grid-sized arrays.
     """
-    rho = np.zeros(tuple(ax.size for ax in axes))
-    for amp, ctrs, rads in terms:
-        piece = amp
-        for k, ax in enumerate(axes):
-            piece = piece * bump((ax - ctrs[k]) / rads[k])
-        rho = rho + piece
-    return rho
 
+    def __init__(self, grid):
+        # each axis's nodes shaped to broadcast along that axis
+        self.axes = np.ix_(*(grid.axis(k) for k in range(grid.n)))
+        self.shape = tuple(grid.shape)
+        self.bumps, self.waves, self.profiles, self.logs = (OrderedDict() for _ in range(4))
 
-def _build_values(family, params, axes):
-    rho = _profile(axes, params["terms"])
-    if family == 1:
-        mu = params["mu"]
-        eps = params["eps"]
-        return rho * np.exp(0.5j * mu * np.log(rho * rho + eps))
-    if family == 2:
-        return rho * np.exp(1j * params["t"] * _phase(params["k"], axes, rho.shape))
-    parts = np.full(rho.shape, params["c0_re"] + 1j * params["c0_im"], dtype=complex)
-    for c_re, c_im, t, kvec in params["waves"]:
-        parts = parts + (c_re + 1j * c_im) * np.exp(1j * t * _phase(kvec, axes, rho.shape))
-    return rho * parts
+    def profile(self, terms):
+        """Sum of positive separable bump terms: amp * prod bump((x-ctr)/rad).
 
+        The bumps are taken per axis and multiplied out in axis order,
+        which gives the same numbers as taking them on the full
+        coordinate meshes.
+        """
 
-def _phase(kvec, axes, shape):
-    """<k, x> at every node, summed over the axes in order."""
-    phase = np.zeros(shape)
-    for comp, ax in zip(kvec, axes):
-        if comp:
-            phase = phase + comp * ax
-    return phase
+        def make():
+            rho = np.zeros(self.shape)
+            for amp, ctrs, rads in terms:
+                piece = amp
+                for k, ax in enumerate(self.axes):
+                    key = (k, ctrs[k], rads[k])
+                    piece = piece * _kept(self.bumps, _BUMP_SLOTS, key, lambda: bump((ax - ctrs[k]) / rads[k]))
+                rho = rho + piece
+            return rho
+
+        return _kept(self.profiles, 1, terms, make)
+
+    def _wave(self, t, kvec):
+        """exp(i t <k, x>) at every node, <k, x> summed over the axes in order."""
+
+        def make():
+            phase = np.zeros(self.shape)
+            for comp, ax in zip(kvec, self.axes):
+                if comp:
+                    phase = phase + comp * ax
+            return np.exp(1j * t * phase)
+
+        return _kept(self.waves, _WAVE_SLOTS, (t, kvec), make)
+
+    def build(self, family, params):
+        """The probe of ``family`` with ``params`` at the grid's nodes."""
+        terms = params["terms"]
+        rho = self.profile(terms)
+        if family == 1:
+            eps = params["eps"]
+            log = _kept(self.logs, 1, (terms, eps), lambda: np.log(rho * rho + eps))
+            return rho * np.exp(0.5j * params["mu"] * log)
+        if family == 2:
+            return rho * self._wave(params["t"], params["k"])
+        parts = np.full(self.shape, params["c0_re"] + 1j * params["c0_im"], dtype=complex)
+        for c_re, c_im, t, kvec in params["waves"]:
+            parts = parts + (c_re + 1j * c_im) * self._wave(t, kvec)
+        return rho * parts
 
 
 def _random_terms(rng, box):
@@ -438,11 +511,11 @@ def falsify(spec, p, budget=2000, seed=0):
     box = list(zip(grid.lo, grid.hi))
     n = grid.n
     ev = FormEvaluator(spec, grid, p)
-    axes = np.ix_(*(grid.axis(k) for k in range(n)))
+    probes = _ProbeFactors(grid)
     rng = np.random.default_rng(seed)
 
     starts = _make_starts(p, budget, rng, box, n)
-    values = [ev.value(_build_values(fam, params, axes)) for fam, params in starts]
+    values = [ev.value(probes.build(fam, params)) for fam, params in starts]
     evaluations = len(starts)
 
     ranked = sorted(
@@ -476,7 +549,7 @@ def falsify(spec, p, budget=2000, seed=0):
                     if trial[j] == vec[j]:
                         continue
                     tparams = _unpack(fam, params, trial, box)
-                    tval = ev.value(_build_values(fam, tparams, axes))
+                    tval = ev.value(probes.build(fam, tparams))
                     used += 1
                     if tval < cur_val:
                         vec = trial
@@ -491,7 +564,7 @@ def falsify(spec, p, budget=2000, seed=0):
             best = cand
 
     bval, bfam, bidx, bparams = best
-    wit_vals = _build_values(bfam, bparams, axes)
+    wit_vals = probes.build(bfam, bparams)
     threshold = TOL_NEG * (1.0 + ev.h1_scale(wit_vals))
     found = bval < -threshold
     return FalsifyResult(

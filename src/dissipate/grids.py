@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,22 @@ class Grid:
         """Coordinate arrays of the grid shape, one per axis."""
         return np.meshgrid(*(self.axis(k) for k in range(self.n)), indexing="ij")
 
+    @cached_property
+    def _stencils(self):
+        """Per axis, the central difference stencil of ``gradient`` and its
+        divisor 2 h_k: (interior, ahead, behind, first, second, last,
+        second to last) index tuples, or None for an axis of one node."""
+        stencils = []
+        for k, h in enumerate(self.spacing):
+            head = (slice(None),) * k
+            cuts = None
+            if self.shape[k] > 1:
+                cuts = tuple(head + (cut,) for cut in (
+                    slice(1, -1), slice(2, None), slice(None, -2),
+                    slice(None, 1), slice(1, 2), slice(-1, None), slice(-2, -1)))
+            stencils.append((cuts, 2.0 * h))
+        return tuple(stencils)
+
 
 @dataclass
 class GridFunction:
@@ -93,25 +110,25 @@ class GridFunction:
             )
         self.values = vals
 
-    def gradient(self):
+    def gradient(self, out=None):
         """Central differences per axis with the zero boundary extension.
 
-        Returns an array of shape (n,) + grid.shape.  The first and last
-        nodes of an axis take x - 0 and 0 - x against the boundary, so
-        signs of zero come out as with an explicitly zero padded array.
+        Returns an array of shape (n,) + grid.shape, complex, written
+        into ``out`` when one of that shape and type is given.  The first
+        and last nodes of an axis take x - 0 and 0 - x against the
+        boundary, so signs of zero come out as with an explicitly zero
+        padded array.
         """
         v = self.values
-        h = self.grid.spacing
-        out = np.empty((self.grid.n,) + v.shape, dtype=complex)
-        for k in range(self.grid.n):
-            head = (slice(None),) * k
-            dst = out[k]
-            if v.shape[k] == 1:
+        if out is None:
+            out = np.empty((self.grid.n,) + v.shape, dtype=complex)
+        for dst, (cuts, two_h) in zip(out, self.grid._stencils):
+            if cuts is None:
                 dst.fill(0.0)
             else:
-                np.subtract(v[head + (slice(2, None),)], v[head + (slice(None, -2),)],
-                            out=dst[head + (slice(1, -1),)])
-                np.subtract(v[head + (slice(1, 2),)], 0.0, out=dst[head + (slice(None, 1),)])
-                np.subtract(0.0, v[head + (slice(-2, -1),)], out=dst[head + (slice(-1, None),)])
-            dst /= 2.0 * h[k]
+                interior, ahead, behind, first, second, last, second_last = cuts
+                np.subtract(v[ahead], v[behind], out=dst[interior])
+                np.subtract(v[second], 0.0, out=dst[first])
+                np.subtract(0.0, v[second_last], out=dst[last])
+            dst /= two_h
         return out

@@ -228,6 +228,41 @@ def mesh_profile_oracle(grid, terms):
     return rho
 
 
+def separable_profile_oracle(axes, terms):
+    """Sum of amp * prod bump((x - ctr)/rad) with the bumps taken per
+    axis on ``axes`` (``np.ix_`` of the grid axes) and multiplied out
+    in axis order, every bump built afresh."""
+    rho = np.zeros(tuple(ax.size for ax in axes))
+    for amp, ctrs, rads in terms:
+        piece = amp
+        for k, ax in enumerate(axes):
+            piece = piece * bump((ax - ctrs[k]) / rads[k])
+        rho = rho + piece
+    return rho
+
+
+def probe_values_oracle(family, params, axes):
+    """A falsifier probe built from scratch: the separable profile times
+    the family's phase factor, with <k, x> summed over the axes in order."""
+
+    def wave(t, kvec):
+        phase = np.zeros(rho.shape)
+        for comp, ax in zip(kvec, axes):
+            if comp:
+                phase = phase + comp * ax
+        return np.exp(1j * t * phase)
+
+    rho = separable_profile_oracle(axes, params["terms"])
+    if family == 1:
+        return rho * np.exp(0.5j * params["mu"] * np.log(rho * rho + params["eps"]))
+    if family == 2:
+        return rho * wave(params["t"], params["k"])
+    parts = np.full(rho.shape, params["c0_re"] + 1j * params["c0_im"], dtype=complex)
+    for c_re, c_im, t, kvec in params["waves"]:
+        parts = parts + (c_re + 1j * c_im) * wave(t, kvec)
+    return rho * parts
+
+
 def form_value_oracle(spec, grid, values, p):
     """The transformed functional by the node-first formula: padded
     gradient, the full modulus direction split at every exponent and

@@ -7,15 +7,16 @@ import pytest
 
 from dissipate import formcheck
 from dissipate.cli import load_preset
-from dissipate.coeffspec import spec_from_dict
+from dissipate.coeffspec import bump, spec_from_dict
 from dissipate.formcheck import (
+    _BUMP_SLOTS,
+    _WAVE_SLOTS,
     BUDGET_CAP,
     TOL_NEG,
     FormEvaluator,
-    _build_values,
     _make_starts,
     _pack,
-    _profile,
+    _ProbeFactors,
     _random_terms,
     _unpack,
     equivalence_gap,
@@ -34,6 +35,8 @@ from conftest import (
     mesh_profile_oracle,
     pack_oracle,
     padded_gradient_oracle,
+    probe_values_oracle,
+    separable_profile_oracle,
     unpack_oracle,
 )
 
@@ -119,6 +122,19 @@ DRIFT_3D = {
 }
 
 
+EVALUATOR_CASES = [
+    (FULL_COEFF_1D, (48,)),
+    (FULL_COEFF_1D, (1,)),
+    (DRIFT_2D, (12, 10)),
+    (DRIFT_2D, (7, 1)),
+    (DRIFT_3D, (6, 5, 4)),
+    (DRIFT_3D, (4, 1, 3)),
+    (load_preset("example2"), (16, 16)),
+]
+EVALUATOR_IDS = ["full1d", "full1d-one-node", "drift2d", "drift2d-one-node-axis",
+                 "drift3d", "drift3d-one-node-axis", "example2"]
+
+
 def falsifier_probes(grid, count, seed):
     """Seeded probes from every falsifier family on the grid."""
     rng = np.random.default_rng(seed)
@@ -127,7 +143,7 @@ def falsifier_probes(grid, count, seed):
     picked = starts[:3] + starts[-count:]
     axes = np.ix_(*(grid.axis(k) for k in range(grid.n)))
     assert {fam for fam, _ in picked} == {1, 2, 3}
-    return [_build_values(fam, params, axes) for fam, params in picked]
+    return [probe_values_oracle(fam, params, axes) for fam, params in picked]
 
 
 class TestBitExactKernels:
@@ -155,29 +171,19 @@ class TestBitExactKernels:
         grid = Grid((0.0,) * len(shape), tuple(1.0 + k for k in range(len(shape))), shape)
         rng = np.random.default_rng(100 * count + len(shape))
         box = list(zip(grid.lo, grid.hi))
+        axes = np.ix_(*(grid.axis(k) for k in range(grid.n)))
+        probes = _ProbeFactors(grid)
         for _ in range(4):
             terms = _random_terms(rng, box)[:count]
             while len(terms) < count:
                 terms = terms + _random_terms(rng, box)[: count - len(terms)]
             ref = mesh_profile_oracle(grid, terms)
-            got = _profile(np.ix_(*(grid.axis(k) for k in range(grid.n))), terms)
+            assert separable_profile_oracle(axes, terms).tobytes() == ref.tobytes()
+            got = probes.profile(terms)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize(
-        "doc,shape",
-        [
-            (FULL_COEFF_1D, (48,)),
-            (FULL_COEFF_1D, (1,)),
-            (DRIFT_2D, (12, 10)),
-            (DRIFT_2D, (7, 1)),
-            (DRIFT_3D, (6, 5, 4)),
-            (DRIFT_3D, (4, 1, 3)),
-            (load_preset("example2"), (16, 16)),
-        ],
-        ids=["full1d", "full1d-one-node", "drift2d", "drift2d-one-node-axis",
-             "drift3d", "drift3d-one-node-axis", "example2"],
-    )
+    @pytest.mark.parametrize("doc,shape", EVALUATOR_CASES, ids=EVALUATOR_IDS)
     def test_evaluator_matches_the_node_first_formula(self, doc, shape):
         spec = spec_from_dict(doc)
         grid = Grid.from_spec(spec, shape=shape)
@@ -189,6 +195,28 @@ class TestBitExactKernels:
             ev = FormEvaluator(spec, grid, p)
             for vals in probes:
                 assert ev.value(vals) == form_value_oracle(spec, grid, vals, p)
+
+    @pytest.mark.parametrize("doc,shape", EVALUATOR_CASES, ids=EVALUATOR_IDS)
+    def test_reused_work_buffers_leak_no_state(self, doc, shape):
+        # one probe list forwards and then backwards through one
+        # evaluator, each call followed by a call of a second evaluator
+        # on the same grid: every value is the oracle's
+        spec = spec_from_dict(doc)
+        grid = Grid.from_spec(spec, shape=shape)
+        probes = falsifier_probes(grid, 6, seed=sum(shape))
+        masked = probes[-1].copy()
+        masked.reshape(-1)[1::2] = 0.0
+        signed = probes[0].copy()
+        signed.reshape(-1)[::2] = complex(-0.0, -0.0)
+        probes += [masked, signed, np.full(grid.shape, complex(-0.0, 0.0))]
+        order = list(range(len(probes))) + list(range(len(probes)))[::-1]
+        for p, q in ((3.0, 1.5), (2.0, 12.0)):
+            ev, other = FormEvaluator(spec, grid, p), FormEvaluator(spec, grid, q)
+            want = [form_value_oracle(spec, grid, vals, p) for vals in probes]
+            want_other = [form_value_oracle(spec, grid, vals, q) for vals in probes]
+            for i in order:
+                assert ev.value(probes[i]) == want[i]
+                assert other.value(probes[-1 - i]) == want_other[-1 - i]
 
     @pytest.mark.parametrize("family", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -429,14 +457,83 @@ class TestFalsifier:
         assert res.value >= -res.threshold
 
     def test_seed_reproducibility(self):
+        # another document's run in between: nothing of a run outlives it
         spec = spec_from_dict(load_preset("example2"))
         one = falsify(spec, 2.0, budget=900, seed=3)
+        falsify(spec_from_dict(load_preset("one_plus_i_laplacian")), 12.0, budget=300, seed=3)
         two = falsify(spec, 2.0, budget=900, seed=3)
-        assert one.value == two.value
-        assert one.evaluations == two.evaluations
-        assert one.family == two.family
-        assert one.start_index == two.start_index
-        assert one.params == two.params
+        for name in ("found", "value", "threshold", "evaluations", "family", "start_index", "params", "p", "seed"):
+            assert getattr(one, name) == getattr(two, name)
+        assert one.witness.values.tobytes() == two.witness.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "doc,p,seed,descended",
+        [
+            (load_preset("one_plus_i_laplacian"), 12.0, 3, {1}),
+            (DRIFT_2D, 3.0, 1, {2, 3}),
+            (DRIFT_3D, 4.0, 6, {1, 3}),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_every_probe_is_a_fresh_build(self, monkeypatch, doc, p, seed, descended):
+        # each start, descent trial and the witness, built from the kept
+        # factors, has the bytes of a build from scratch; the seeds make
+        # the descents walk every family, and profiles of several terms
+        spec = spec_from_dict(doc)
+        grid = Grid.from_spec(spec)
+        axes = np.ix_(*(grid.axis(k) for k in range(grid.n)))
+        built = []
+        bumps = 0
+        build = _ProbeFactors.build
+
+        def counted(r):
+            nonlocal bumps
+            bumps += 1
+            return bump(r)
+
+        def checked(self, family, params):
+            vals = build(self, family, params)
+            assert vals.tobytes() == probe_values_oracle(family, params, axes).tobytes()
+            built.append((family, len(params["terms"])))
+            return vals
+
+        monkeypatch.setattr(_ProbeFactors, "build", checked)
+        monkeypatch.setattr(formcheck, "bump", counted)
+        budget = 300
+        res = falsify(spec, p, budget=budget, seed=seed)
+        assert len(built) == res.evaluations + 1
+        starts, trials = built[: int(0.55 * budget)], built[int(0.55 * budget) : -1]
+        assert {family for family, _ in starts} == {1, 2, 3}
+        assert {family for family, _ in trials} == descended
+        assert max(terms for _, terms in trials) > 1
+        # the kept factors were used: fewer bumps than fresh builds take
+        assert bumps < grid.n * sum(terms for _, terms in built)
+
+    def test_kept_factors_stay_bounded(self, monkeypatch):
+        # sizes, not times: the tables fill up and stay at their slots,
+        # and what a run keeps is at most _WAVE_SLOTS + 2 grid-sized
+        # arrays and _BUMP_SLOTS axis-sized ones, whatever the budget
+        spec = spec_from_dict(load_preset("one_plus_i_laplacian"))
+        grid = Grid.from_spec(spec)
+        bound = (_WAVE_SLOTS + 2) * 16 * grid.size + _BUMP_SLOTS * 8 * max(grid.shape)
+        tables = ("bumps", "waves", "profiles", "logs")
+        most = dict.fromkeys(tables + ("bytes",), 0)
+        build = _ProbeFactors.build
+
+        def measured(self, family, params):
+            vals = build(self, family, params)
+            kept = [getattr(self, table) for table in tables]
+            now = {table: len(entries) for table, entries in zip(tables, kept)}
+            now["bytes"] = sum(a.nbytes for entries in kept for a in entries.values())
+            for key in most:
+                most[key] = max(most[key], now[key])
+            return vals
+
+        monkeypatch.setattr(_ProbeFactors, "build", measured)
+        res = falsify(spec, 12.0, budget=20_000, seed=0)
+        assert res.evaluations > 11_000  # descent trials ran after the starts
+        assert [most[table] for table in tables] == [_BUMP_SLOTS, _WAVE_SLOTS, 1, 1]
+        assert most["bytes"] <= bound
 
     def test_budget_caps_the_evaluation_count(self):
         spec = spec_from_dict(load_preset("example2"))
