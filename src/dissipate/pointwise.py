@@ -24,9 +24,11 @@ Re A and Im A.  The supremum ratio
 
 controls the full admissible interval of exponents
 [2 + 2 lam (lam - sqrt(lam^2+1)), 2 + 2 lam (lam + sqrt(lam^2+1))],
-whose endpoints are Hoelder conjugate.  Its closed form
-1 / max |eig(S_i, S_r)| seeds the bracket that ``lambda_nodes`` then
-narrows by bisection against the same PSD test as the p-condition.
+whose endpoints are Hoelder conjugate.  ``lambda_nodes`` tests two
+nested windows around its closed form 1 / max |eig(S_i, S_r)| against
+the same PSD test as the p-condition, in one LAPACK call; the inner
+window is already narrow enough to settle the ratio, and bisection runs
+only where the edge falls outside it.
 
 The eigenvalue workhorse is LAPACK's symmetric solver (numpy.linalg
 eigh/eigvalsh), which also backs the pseudo-inverse for singular linear
@@ -48,7 +50,7 @@ TOL_ZERO = 1e-12       # zero tests (norms, margins)
 TOL_SYS = 1e-8         # linear system consistency, scaled by 1 + |rhs|
 RANK_TOL = 1e-12       # relative eigenvalue cutoff for pseudo-inverses
 BISECT_RELWIDTH = 1e-12
-SEED_RELWIDTH = 1e-9   # half width of the first bracket around the closed-form ratio
+SEED_RELWIDTH = 1e-9   # half width of the outer window around the closed-form ratio
 BRACKET_MAX = 2.0 ** 60
 
 __all__ = [
@@ -249,18 +251,23 @@ def lambda_nodes(d):
     """Per-node ratio inf <S_r xi,xi>/|<S_i xi,xi>| of a stacked SymDecomp.
 
     Returns (lam, hi), float arrays of the stack's shape: the ratio and
-    the upper end of its final bisection bracket.  Each node's ratio is
+    the upper end of its final bracket.  Each node's ratio is
     sup { t >= 0 : S_r + t S_i and S_r - t S_i both PSD to -tol }, with
-    the tolerance of ``p_condition_nodes``.  The search tests the window
-    t0 (1 -+ SEED_RELWIDTH) around the closed-form ratio t0 (t = 1 where
-    that is unusable), doubles a bracket whose top passes, and bisects to
-    relative width BISECT_RELWIDTH: lam passed the test and hi failed it.
-    The ratio is math.inf (and so is hi) when the node's symmetric part
-    of Im A vanishes or no bracket is found below BRACKET_MAX.  Every
-    step tests the pencils of all nodes still searching in one LAPACK
-    call, and each node takes exactly the steps it would take on its
-    own.  Requires every S_r PSD (NonnegativityError otherwise, since
-    then not even p = 2 is admissible).
+    the tolerance of ``p_condition_nodes``.  The first step tests four
+    ends around the closed-form ratio t0 (t = 1 where that is unusable):
+    the outer window t0 (1 -+ SEED_RELWIDTH) and, inside it, the window
+    t0 (1 -+ 0.4 BISECT_RELWIDTH), which already passes the width test.
+    The bracket runs from the end below the first one that fails (0 below
+    the lowest) to that end; a node whose inner window straddles the
+    edge is then settled.  A bracket whose top passes is doubled, and
+    every bracket is bisected to relative width BISECT_RELWIDTH: lam
+    passed the test and hi failed it.  The ratio is math.inf (and so is
+    hi) when the node's symmetric part of Im A vanishes or no bracket is
+    found below BRACKET_MAX.  Every step tests the pencils of all nodes
+    still searching in one LAPACK call, and each node takes exactly the
+    steps it would take on its own.  Requires every S_r PSD
+    (NonnegativityError otherwise, since then not even p = 2 is
+    admissible).
     """
     n = d.n
     S_r = d.S_r.reshape(-1, n, n)
@@ -293,17 +300,20 @@ def lambda_nodes(d):
     W = V / np.sqrt(np.where(definite[:, None], shifted, 1.0))[:, None, :]
     with np.errstate(divide="ignore"):
         t0 = 1.0 / np.abs(np.linalg.eigvalsh(W.swapaxes(1, 2) @ S_i @ W)).max(axis=1)
-    # no usable seed: start at t = 1 with a window of zero width
+    # no usable seed: start at t = 1 with windows of zero width
     seeded = definite & (t0 > 0.0) & (t0 <= 0.5 * BRACKET_MAX)
     t0 = np.where(seeded, t0, 1.0)
-    rel = np.where(seeded, SEED_RELWIDTH, 0.0)
-    lo0, hi0 = t0 * (1.0 - rel), t0 * (1.0 + rel)
-    # both ends of the window in one call: the bracket is the window when it
-    # straddles the edge, [0, lo0] below it, and [hi0, 2 hi0] doubled above it
-    lo_ok, hi_ok = _pencils_psd(S_r, np.stack((lo0, hi0))[..., None, None] * S_i, tol)
-    lo = np.where(hi_ok, hi0, np.where(lo_ok, lo0, 0.0))
-    hi = np.where(hi_ok, 2.0 * hi0, np.where(lo_ok, hi0, lo0))
-    grow = np.flatnonzero(hi_ok)
+    # the four ends, ascending, in one call; with 0 below them and 2 e3 above,
+    # a node's bracket is edges[passed], edges[passed + 1]
+    rel = np.multiply.outer(
+        (-SEED_RELWIDTH, -0.4 * BISECT_RELWIDTH, 0.4 * BISECT_RELWIDTH, SEED_RELWIDTH), seeded
+    )
+    ends = t0 * (1.0 + rel)
+    ok = _pencils_psd(S_r, ends[..., None, None] * S_i, tol)
+    passed = np.logical_and.accumulate(ok).sum(axis=0)
+    edges = np.concatenate((np.zeros_like(ends[:1]), ends, 2.0 * ends[-1:]))
+    lo, hi = np.take_along_axis(edges, np.stack((passed, passed + 1)), axis=0)
+    grow = np.flatnonzero(passed == len(ends))
     while grow.size:
         grow = grow[_pencils_psd(S_r[grow], hi[grow][:, None, None] * S_i[grow], tol[grow])]
         lo[grow] = hi[grow]

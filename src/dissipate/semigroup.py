@@ -159,12 +159,24 @@ def discretize(spec, grid=None):
 
 
 def lp_norm(u, p):
-    """Quadrature L^p norm of a GridFunction: (sum |u|^p prod(h))^(1/p)."""
+    """Quadrature L^p norm of a GridFunction: (sum |u|^p prod(h))^(1/p).
+
+    The sum is taken on |u| / s, with s the power of two at max |u|, and
+    the root is scaled back by s: both scalings are exact, and the
+    largest term, at least 2^-p, neither underflows nor overflows for p
+    up to 1022.  The norm is inf or NaN only when an entry is, or when
+    it exceeds the float range.
+    """
     if not (isinstance(p, numbers.Real) and math.isfinite(p)) or p < 1.0:
         raise ValueError(f"norm exponent must be finite and >= 1, got {p!r}")
     p = float(p)
     vals = np.abs(np.asarray(u.values)).ravel()
-    return float(np.sum(vals ** p) * u.grid.weight) ** (1.0 / p)
+    e = math.frexp(vals.max(initial=0.0))[1]
+    root = float(np.sum(np.ldexp(vals, -e, out=vals) ** p) * u.grid.weight) ** (1.0 / p)
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass

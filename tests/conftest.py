@@ -132,34 +132,40 @@ def _doubled(feasible, lo, hi):
     return _bisect(feasible, lo, hi)
 
 
+def window_ends_oracle(S_r, S_i, tol):
+    """The four ends ``lambda_nodes`` tests first, in ascending order,
+    from numpy eigenvalues of one matrix: the outer window (1 -+ 1e-9) t0
+    around the inner window (1 -+ 4e-13) t0 of the closed-form ratio
+    t0 = 1 / max |eig(W^T S_i W)|, W = V (w + tol)^(-1/2) from
+    ``eigh(S_r)``.  Without a positive seed up to 2^59 every end is 1."""
+    w, V = np.linalg.eigh(S_r)
+    if (w + tol > 0.0).all():
+        W = V / np.sqrt(w + tol)
+        with np.errstate(divide="ignore"):
+            t0 = 1.0 / np.abs(np.linalg.eigvalsh(W.T @ S_i @ W)).max()
+        if 0.0 < t0 <= 2.0**59:
+            return [t0 * (1.0 - 1e-9), t0 * (1.0 - 0.4e-12), t0 * (1.0 + 0.4e-12), t0 * (1.0 + 1e-9)]
+    return [1.0] * 4
+
+
 def lam_bracket_oracle(S_r, S_i):
     """The admissible pencil ratio of one matrix, as ``lambda_nodes``
     finds it, from numpy eigenvalues of that matrix alone.
 
-    The first bracket is the window (1 -+ 1e-9) t0 around the closed-form
-    ratio t0 = 1 / max |eig(W^T S_i W)|, W = V (w + tol)^(-1/2) from
-    ``eigh(S_r)``; [0, lo0] when both ends fail and [hi0, 2 hi0], doubled,
-    when the top passes.  Without a positive seed up to 2^59 the window
-    is the single point t = 1.  Returns (lam, hi): the ratio and the
-    upper end of its final bracket, both inf when the ratio is.
+    The first bracket runs from the end of ``window_ends_oracle`` below
+    the first one that fails (0 below the lowest) to that end, and from
+    the highest end e3 to 2 e3, doubled, when all four pass.  Returns
+    (lam, hi): the ratio and the upper end of its final bracket, both
+    inf when the ratio is.
     """
     feasible, tol = pencil_oracle(S_r, S_i)
     if not S_i.any():
         return math.inf, math.inf
-    w, V = np.linalg.eigh(S_r)
-    t0, rel = 1.0, 0.0
-    if (w + tol > 0.0).all():
-        W = V / np.sqrt(w + tol)
-        with np.errstate(divide="ignore"):
-            seed = 1.0 / np.abs(np.linalg.eigvalsh(W.T @ S_i @ W)).max()
-        if 0.0 < seed <= 2.0**59:
-            t0, rel = seed, 1e-9
-    lo0, hi0 = t0 * (1.0 - rel), t0 * (1.0 + rel)
-    if feasible(hi0):
-        return _doubled(feasible, hi0, 2.0 * hi0)
-    if feasible(lo0):
-        return _bisect(feasible, lo0, hi0)
-    return _bisect(feasible, 0.0, lo0)
+    ends = window_ends_oracle(S_r, S_i, tol)
+    for below, end in zip([0.0] + ends, ends):
+        if not feasible(end):
+            return _bisect(feasible, below, end)
+    return _doubled(feasible, ends[-1], 2.0 * ends[-1])
 
 
 def lam_doubling_oracle(S_r, S_i):
@@ -380,7 +386,11 @@ def complex_evolve_oracle(op, u0, dt, t_end, p, colamd=False):
         lu = splu(system, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
     def norm(v):
-        return float(np.sum(np.abs(v) ** p) * grid.weight) ** (1.0 / p)
+        # the sum on |v| / 2^e, with 2^e the power of two at max |v|
+        mags = np.abs(v)
+        e = math.frexp(float(mags.max()))[1]
+        root = float(np.sum((mags / 2.0**e) ** p) * grid.weight) ** (1.0 / p)
+        return root * 2.0**e
 
     norms = np.empty(steps + 1)
     norms[0] = norm(vec)

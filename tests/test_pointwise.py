@@ -34,6 +34,7 @@ from conftest import (
     p_condition_oracle,
     pinch_oracle,
     seeded_matrices,
+    window_ends_oracle,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -298,6 +299,15 @@ def wide_stack(n):
     return A.real + 1j * A.imag * np.geomspace(0.05, 20.0, len(A))[:, None, None]
 
 
+def passed_ends(S_r, S_i):
+    """How many of the four first ends of ``lambda_nodes`` pass the pencil
+    test before one fails: 2 where the inner window straddles the edge,
+    1 or 3 where only the outer window does, 0 below it and 4 above it."""
+    feasible, tol = pencil_oracle(S_r, S_i)
+    ends = window_ends_oracle(S_r, S_i, tol)
+    return next((k for k, t in enumerate(ends) if not feasible(t)), len(ends))
+
+
 class TestNodeKernels:
     """The node-batched bisection and p-condition against per-node oracles."""
 
@@ -391,21 +401,35 @@ class TestNodeKernels:
 
     @pytest.mark.parametrize("bracket_max", [None, 4.0])
     def test_ratio_passes_and_bracket_top_fails_the_pencil_test(self, monkeypatch, bracket_max):
+        # seeded nodes whose inner window straddles the edge, whose outer
+        # window alone catches it, that start from [0, e0] and that double;
+        # then a zero-ratio pencil on a singular S_r, S_i = 0, and ratios
+        # of 3 and 10, unseeded and escaping under BRACKET_MAX = 4
         if bracket_max is not None:
             monkeypatch.setattr("dissipate.pointwise.BRACKET_MAX", bracket_max)
-        zero_ratio = np.diag([1.0, 0.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
-        # singular S_r on a zero-ratio pencil, S_i = 0 and a ratio of 10
-        special = np.stack([zero_ratio, np.diag([1.0, 2.0]).astype(complex), np.eye(2) + 0.1j * np.eye(2)])
-        A = np.concatenate([wide_stack(2), special])
+        zero_ratio = np.diag([1.0, 0.0, 0.0]) + 1j * np.diag([1.0, 0.0], 1) + 1j * np.diag([1.0, 0.0], -1)
+        special = np.stack([
+            zero_ratio,
+            np.diag([1.0, 2.0, 3.0]).astype(complex),
+            np.eye(3) * (1.0 + 1j / 3.0),
+            np.eye(3) * (1.0 + 0.1j),
+        ])
+        A = np.concatenate([node_stack(3, seed=0, count=200), special])
         d = decompose(A)
+        seeing = [j for j in range(len(A)) if d.S_i[j].any()]
+        assert {passed_ends(d.S_r[j], d.S_i[j]) for j in seeing} == {0, 1, 2, 3, 4}
         lam, hi = lambda_nodes(d)
-        assert np.isinf(lam[-2]) and np.isinf(hi[-2])
+        assert 0.0 <= lam[-4] <= 2e-5
+        assert np.isinf(lam[-3]) and np.isinf(hi[-3])
+        assert lam[-2] == pytest.approx(3.0, rel=1e-9)
         assert np.isinf(lam[-1]) == (bracket_max is not None)
-        assert 0.0 <= lam[-3] <= 2e-5
         for j in np.flatnonzero(np.isfinite(lam)):
             feasible, _ = pencil_oracle(d.S_r[j], d.S_i[j])
             assert feasible(lam[j]) and not feasible(hi[j])
         assert np.isinf(hi[np.isinf(lam)]).all()
+        if bracket_max is None:
+            refs = [lam_bracket_oracle(d.S_r[j], d.S_i[j]) for j in range(len(A))]
+            assert list(zip(lam.tolist(), hi.tolist())) == refs
 
     @pytest.mark.parametrize("A,ratio", [
         ((1.0 + 1.0j) * np.eye(2), 1.0),
@@ -414,6 +438,9 @@ class TestNodeKernels:
         (np.diag([1.0, 0.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0),
     ])
     def test_a_single_matrix_takes_few_pencil_calls(self, monkeypatch, A, ratio):
+        # the inner window straddles the edge: one call, no bisection step
+        d = decompose(A)
+        assert passed_ends(d.S_r, d.S_i) == 2
         calls = []
         pencils_psd = pointwise._pencils_psd
 
@@ -422,9 +449,19 @@ class TestNodeKernels:
             return pencils_psd(*args)
 
         monkeypatch.setattr(pointwise, "_pencils_psd", counted)
-        res = lambda_of(decompose(A))
+        res = lambda_of(d)
         assert res.lam == pytest.approx(ratio, abs=2e-5)
-        assert len(calls) <= 15
+        assert len(calls) == 1
+
+    def test_a_node_only_the_outer_window_catches_equals_the_oracle(self):
+        pool = [decompose(A) for A in seeded_matrices(count=200, seed=0, dims=(3,))]
+        # the edge lies between the outer and the inner window, below
+        # (1 end passes) or above (3 pass): the node bisects that half
+        caught = [d for d in pool if passed_ends(d.S_r, d.S_i) in (1, 3)]
+        assert {passed_ends(d.S_r, d.S_i) for d in caught} == {1, 3}
+        for d in caught:
+            lam, hi = lambda_nodes(d)
+            assert (lam.item(), hi.item()) == lam_bracket_oracle(d.S_r, d.S_i)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_p_condition_equals_the_oracle_at_every_node(self, n):

@@ -224,6 +224,22 @@ class TestNorms:
         with pytest.raises(ValueError, match="finite and >= 1"):
             lp_norm(u, p)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 800.0])
+    def test_powers_of_two_scale_the_norm_exactly(self, p):
+        # the sum is taken on |u| / 2^e, so neither |u|^800 nor the
+        # squares of entries past 1e154 leave the float range
+        grid = Grid((0.0,), (1.0,), (32,))
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=32) + 1j * rng.normal(size=32)
+        norm = lp_norm(GridFunction(grid, u), p)
+        top = np.abs(u).max()
+        ref = top * float(np.sum((np.abs(u) / top) ** p) * grid.weight) ** (1.0 / p)
+        assert norm == pytest.approx(ref, rel=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-900, -500, -1, 1, 500, 900):
+                assert lp_norm(GridFunction(grid, u * 2.0**k), p) == norm * 2.0**k
+
     def test_exponent_validation(self):
         grid = Grid((0.0,), (1.0,), (8,))
         u = GridFunction(grid, np.ones(8, dtype=complex))
@@ -319,6 +335,30 @@ class TestEvolve:
         u0 = GridFunction(op.grid, np.ones(8, dtype=complex))
         with pytest.raises(OverflowError, match="overflowed at step"):
             evolve(op, u0, dt=0.01, t_end=3.0, p=2.0)
+
+    def test_only_a_non_finite_iterate_overflows(self):
+        # I - dt M = 2^-50 I: each step multiplies the iterate by 2^50, so
+        # step 20 holds 2^1000 and step 21 overflows to inf
+        grid = Grid((0.0,), (1.0,), (8,))
+        op = DiscreteOperator(grid, (1.0 - 2.0**-50) * identity(8, format="csc", dtype=complex))
+        unit = lp_norm(GridFunction(grid, np.ones(8)), 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = evolve(op, np.ones(8), dt=1.0, t_end=20.0, p=2.0)
+        assert trace.norms.tolist() == [unit * 2.0 ** (50 * k) for k in range(21)]
+        with pytest.raises(OverflowError, match=r"^L\^p norm overflowed at step 21 "):
+            evolve(op, np.ones(8), dt=1.0, t_end=21.0, p=2.0)
+
+    def test_a_large_exponent_reports_a_nonzero_norm(self):
+        code, out, err = run_cli(
+            "simulate", preset("laplacian1d"), "--p", "800", "--dt", "1e-3", "--t-end", "1e-2", "--format", "json"
+        )
+        assert code == 0, err
+        numbers = json.loads(out)["numbers"]
+        # the canonical bump peaks at 1/e in the middle of the unit interval
+        assert numbers["norm_initial"] == pytest.approx(math.exp(-1.0), rel=0.01)
+        assert 0.0 < numbers["norm_final"] < numbers["norm_initial"]
+        assert numbers["fitted_rate"] < 0.0
 
     def test_input_validation(self):
         spec = spec_from_dict(doc_1d())
