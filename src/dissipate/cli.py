@@ -94,7 +94,7 @@ def _condition_everywhere(sam, p):
 def _im_symmetric(sam):
     im = sam.A.imag
     skew = np.abs(im - im.transpose(0, 2, 1)).max(initial=0.0)
-    return skew <= 1e-14 * (1.0 + np.abs(im).max(initial=0.0))
+    return skew <= 1e-14 * np.abs(im).max(initial=0.0)
 
 
 def _qualifier(spec, sam):
@@ -248,7 +248,7 @@ def _cmd_simulate(spec, p, args):
     trace = evolve(op, u0, dt=args.dt, t_end=args.t_end, p=p)
     if args.trace_csv:
         trace.write_csv(args.trace_csv)
-    noninc = trace.nonincreasing(per_step_tol=1e-10)
+    noninc = trace.nonincreasing()
     return dict(
         inputs={
             "p": p,
@@ -320,7 +320,7 @@ def _example_quasi_only(spec):
         numbers.update(
             {
                 "omega_estimate": estimate_omega(trace),
-                "nonincreasing": trace.nonincreasing(per_step_tol=1e-10),
+                "nonincreasing": trace.nonincreasing(),
                 "norm_initial": float(trace.norms[0]),
                 "norm_final": float(trace.norms[-1]),
             }

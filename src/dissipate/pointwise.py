@@ -30,6 +30,11 @@ the same PSD test as the p-condition, in one LAPACK call; the inner
 window is already narrow enough to settle the ratio, and bisection runs
 only where the edge falls outside it.
 
+The verdicts are homogeneous in A, as the condition is: the pencil tests
+see each node divided once by its largest |S_r| entry (``SymDecomp.unit``),
+against one constant slack TOL_PENCIL, so a large Im A cannot hide a
+negative Re A.  The other tolerances are purely relative.
+
 The eigenvalue workhorse is LAPACK's symmetric solver (numpy.linalg
 eigh/eigvalsh), which also backs the pseudo-inverse for singular linear
 systems.  A matrix is checked (square, finite, symmetric) once, where
@@ -42,12 +47,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-TOL_PSD = 1e-10        # PSD slack, scaled by 1 + trace norm
-TOL_ZERO = 1e-12       # zero tests (norms, margins)
-TOL_SYS = 1e-8         # linear system consistency, scaled by 1 + |rhs|
+TOL_PENCIL = 2e-10     # PSD slack of every pencil, on its node's pair divided by max |S_r|
+UNIT_FLOOR = 2.0 ** -500  # least divisor of a unit pair, relative to max |S_i|
+TOL_PSD = 1e-10        # PSD slack of sufficiency matrices, relative to their trace norm
+TOL_ZERO = 1e-12       # zero tests (Im A against Re A, margins), relative
+TOL_SYS = 1e-8         # linear system consistency, relative to |rhs|
 RANK_TOL = 1e-12       # relative eigenvalue cutoff for pseudo-inverses
 BISECT_RELWIDTH = 1e-12
 SEED_RELWIDTH = 1e-9   # half width of the outer window around the closed-form ratio
@@ -88,7 +96,7 @@ def _check_symmetric(S):
     # a NaN or inf entry leaves its matrix's scale NaN or inf
     if (scale < math.inf).all():
         skew = np.abs(S - S.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-        if (skew <= 1e-12 * (1.0 + scale)).all():
+        if (skew <= 1e-12 * scale).all():
             return S
     raise ValueError("matrix is not finite and symmetric")
 
@@ -108,6 +116,17 @@ class SymDecomp:
     @property
     def n(self):
         return self.S_r.shape[-1]
+
+    @cached_property
+    def unit(self):
+        """(S_r, S_i) stacked, shape (2, ..., n, n), each node's pair divided
+        by its largest |S_r| entry, or by UNIT_FLOOR times its largest |S_i|
+        entry if larger, or by that entry if S_r = 0: exact under a power of
+        two s (short of over- or underflow), rounded under any other s > 0."""
+        pair = np.stack((self.S_r, self.S_i))
+        big_r, big_i = np.abs(pair).max(axis=(-2, -1), keepdims=True)
+        scale = np.where(big_r > 0.0, np.maximum(big_r, UNIT_FLOOR * big_i), big_i)
+        return pair / np.where(scale > 0.0, scale, 1.0)
 
 
 def decompose(A):
@@ -137,8 +156,8 @@ def jacobi_eigh(S, vectors=True):
 
     Returns (w, V) with eigenvalues w ascending along the last axis and
     eigenvector columns V (V is None when ``vectors`` is false).  Every
-    matrix must be square, finite and symmetric to 1e-12 (1 + its own
-    max |S|); a single one that is not fails the whole call.  Only the
+    matrix must be square, finite and symmetric to 1e-12 times its own
+    max |S|; a single one that is not fails the whole call.  Only the
     lower triangles are read.
     """
     S = _check_symmetric(S)
@@ -208,13 +227,13 @@ def p_condition_nodes(d, p):
     stack's shape, true where |p-2| |<Im A xi,xi>| <= 2 sqrt(p-1) <Re A xi,xi>
     for all xi.
 
-    Decided through the two matrices 2 sqrt(p-1) S_r +- (p-2) S_i, each
-    required to have smallest eigenvalue >= -TOL_PSD (1 + trace norm of S_r);
-    both pencils of every node go to LAPACK in one call.
+    Decided through the two matrices 2 sqrt(p-1) S_r +- (p-2) S_i of the
+    node's unit pair, each required to have smallest eigenvalue
+    >= -TOL_PENCIL; both pencils of every node go to LAPACK in one call.
     """
     p = _validate_p(p)
-    tol = TOL_PSD * (1.0 + np.abs(np.linalg.eigvalsh(d.S_r)).sum(axis=-1))
-    return _pencils_psd(2.0 * math.sqrt(p - 1.0) * d.S_r, (p - 2.0) * d.S_i, tol)
+    S_r, S_i = d.unit
+    return _pencils_psd(2.0 * math.sqrt(p - 1.0) * S_r, (p - 2.0) * S_i, TOL_PENCIL)
 
 
 def check_p_condition(d, p):
@@ -223,24 +242,22 @@ def check_p_condition(d, p):
     return bool(p_condition_nodes(d, p))
 
 
-def _lower_pencil_direction(S, step):
+def _pencil_direction(S, step):
     """Lowest eigenvector of whichever of S + step and S - step has the
-    lower smallest eigenvalue (S + step on a tie)."""
+    lower smallest eigenvalue (S + step on a tie), signed so that its
+    largest entry is positive."""
     w, V = np.linalg.eigh(np.stack((S + step, S - step)))
-    return V[0, :, 0] if w[0, 0] <= w[1, 0] else V[1, :, 0]
+    xi = V[0, :, 0] if w[0, 0] <= w[1, 0] else V[1, :, 0]
+    return -xi if xi[np.argmax(np.abs(xi))] < 0.0 else xi
 
 
 def violating_direction(d, p):
     """A direction xi of the single matrix d on which the p-condition
-    fails when it fails: the lowest eigenvector of the lower pencil
-    2 sqrt(p-1) S_r +- (p-2) S_i, signed so that its first nonzero entry
-    is positive."""
+    fails when it fails: the ``_pencil_direction`` of the pencils
+    2 sqrt(p-1) S_r +- (p-2) S_i of its unit pair."""
     p = _validate_p(p)
-    xi = _lower_pencil_direction(2.0 * math.sqrt(p - 1.0) * d.S_r, (p - 2.0) * d.S_i)
-    lead = np.flatnonzero(xi)
-    if lead.size and xi[lead[0]] < 0.0:
-        xi = -xi
-    return xi
+    S_r, S_i = d.unit
+    return _pencil_direction(2.0 * math.sqrt(p - 1.0) * S_r, (p - 2.0) * S_i)
 
 
 class NonnegativityError(ValueError):
@@ -252,9 +269,9 @@ def lambda_nodes(d):
 
     Returns (lam, hi), float arrays of the stack's shape: the ratio and
     the upper end of its final bracket.  Each node's ratio is
-    sup { t >= 0 : S_r + t S_i and S_r - t S_i both PSD to -tol }, with
-    the tolerance of ``p_condition_nodes``.  The first step tests four
-    ends around the closed-form ratio t0 (t = 1 where that is unusable):
+    sup { t >= 0 : S_r + t S_i and S_r - t S_i both PSD to -TOL_PENCIL }
+    on its unit pair, the test of ``p_condition_nodes``.  The first step
+    tests four ends around the closed-form ratio t0 (t = 1 where that is unusable):
     the outer window t0 (1 -+ SEED_RELWIDTH) and, inside it, the window
     t0 (1 -+ 0.4 BISECT_RELWIDTH), which already passes the width test.
     The bracket runs from the end below the first one that fails (0 below
@@ -269,33 +286,21 @@ def lambda_nodes(d):
     (NonnegativityError otherwise, since then not even p = 2 is
     admissible).
     """
-    n = d.n
-    S_r = d.S_r.reshape(-1, n, n)
-    S_i = d.S_i.reshape(-1, n, n)
-    w = np.linalg.eigvalsh(S_r)
-    tol = TOL_PSD * (1.0 + np.abs(w).sum(axis=-1))
-    if (w[:, 0] < -tol).any():
+    S_r, S_i = d.unit.reshape(2, -1, d.n, d.n)
+    # one eigh of every S_r: the nonnegativity test and the seed
+    w, V = np.linalg.eigh(S_r)
+    if (w[:, 0] < -TOL_PENCIL).any():
         raise NonnegativityError("Re A has a negative direction")
     lam = np.full(len(S_r), math.inf)
     lam_hi = np.full(len(S_r), math.inf)
-
-    # The nodes that see Im A, by Frobenius norms of each node's pair scaled
-    # down by the power of two at its largest entry.  The scaling is exact,
-    # and it keeps the squares of entries past about 1e154 finite, where
-    # inf > inf would count the node as blind.
-    big = np.maximum(np.abs(S_r).max(axis=(1, 2)), np.abs(S_i).max(axis=(1, 2)))
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], 0))
-    seeing = np.linalg.norm(S_i * scale[:, None, None], axis=(1, 2)) > TOL_ZERO * (
-        scale + np.linalg.norm(S_r * scale[:, None, None], axis=(1, 2))
-    )
-    # the nodes still searching, with their pencils, tolerances and brackets
+    # the nodes that see Im A, with their pencils and seeds, still searching
+    seeing = np.linalg.norm(S_i, axis=(1, 2)) > TOL_ZERO * np.linalg.norm(S_r, axis=(1, 2))
     nodes = np.flatnonzero(seeing)
-    S_r, S_i, tol = S_r[nodes], S_i[nodes], tol[nodes]
-    # Seed: min eig(S_r +- t S_i) >= -tol says (S_r + tol I) +- t S_i is PSD,
-    # which holds exactly for t <= t0 = 1 / max |eig(W^T S_i W)| with
-    # W = V (w + tol)^(-1/2) from S_r = V diag(w) V^T.
-    w, V = np.linalg.eigh(S_r)
-    shifted = w + tol[:, None]
+    S_r, S_i, w, V = S_r[nodes], S_i[nodes], w[nodes], V[nodes]
+    # Seed: min eig(S_r +- t S_i) >= -TOL_PENCIL says (S_r + TOL_PENCIL I) +- t S_i
+    # is PSD, which holds exactly for t <= t0 = 1 / max |eig(W^T S_i W)| with
+    # W = V (w + TOL_PENCIL)^(-1/2) from S_r = V diag(w) V^T.
+    shifted = w + TOL_PENCIL
     definite = (shifted > 0.0).all(axis=1)
     W = V / np.sqrt(np.where(definite[:, None], shifted, 1.0))[:, None, :]
     with np.errstate(divide="ignore"):
@@ -309,13 +314,13 @@ def lambda_nodes(d):
         (-SEED_RELWIDTH, -0.4 * BISECT_RELWIDTH, 0.4 * BISECT_RELWIDTH, SEED_RELWIDTH), seeded
     )
     ends = t0 * (1.0 + rel)
-    ok = _pencils_psd(S_r, ends[..., None, None] * S_i, tol)
+    ok = _pencils_psd(S_r, ends[..., None, None] * S_i, TOL_PENCIL)
     passed = np.logical_and.accumulate(ok).sum(axis=0)
     edges = np.concatenate((np.zeros_like(ends[:1]), ends, 2.0 * ends[-1:]))
     lo, hi = np.take_along_axis(edges, np.stack((passed, passed + 1)), axis=0)
     grow = np.flatnonzero(passed == len(ends))
     while grow.size:
-        grow = grow[_pencils_psd(S_r[grow], hi[grow][:, None, None] * S_i[grow], tol[grow])]
+        grow = grow[_pencils_psd(S_r[grow], hi[grow][:, None, None] * S_i[grow], TOL_PENCIL)]
         lo[grow] = hi[grow]
         hi[grow] *= 2.0
         # no bracket below 2^60: lo = inf stops the node at the first width test
@@ -328,26 +333,16 @@ def lambda_nodes(d):
         if not going.all():
             lam[nodes[~going]] = lo[~going]
             lam_hi[nodes[~going]] = hi[~going]
-            nodes, S_r, S_i, tol, lo, hi = (x[going] for x in (nodes, S_r, S_i, tol, lo, hi))
+            nodes, S_r, S_i, lo, hi = (x[going] for x in (nodes, S_r, S_i, lo, hi))
         if not nodes.size:
             break
         mid = 0.5 * (lo + hi)
-        ok = _pencils_psd(S_r, mid[:, None, None] * S_i, tol)
+        ok = _pencils_psd(S_r, mid[:, None, None] * S_i, TOL_PENCIL)
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     lam_hi[np.isinf(lam)] = math.inf
     shape = d.S_r.shape[:-2]
     return lam.reshape(shape), lam_hi.reshape(shape)
-
-
-def _pinch_direction(S_r, S_i, t):
-    """Lowest eigenvector of whichever pencil S_r +- t S_i is lower,
-    signed so that its largest entry is positive."""
-    xi = _lower_pencil_direction(S_r, t * S_i)
-    k = int(np.argmax(np.abs(xi)))
-    if xi[k] < 0:
-        xi = -xi
-    return xi
 
 
 @dataclass(frozen=True)
@@ -362,17 +357,17 @@ def lambda_of(d):
 
     For one matrix, ``lambda_nodes`` on a stack of one; for a stack, the
     smallest ratio over its nodes, attained first at flat index ``node``.
-    The witness is the pinching direction at the attaining node's upper
-    bracket, None when the ratio is math.inf.  Raises NonnegativityError
-    as ``lambda_nodes`` does.
+    The witness is the ``_pencil_direction`` of S_r +- hi S_i on the
+    attaining node's unit pair, hi the top of its bracket, None when the
+    ratio is math.inf.  Raises NonnegativityError as ``lambda_nodes`` does.
     """
     lam, hi = lambda_nodes(d)
     lam, hi = lam.reshape(-1), hi.reshape(-1)
     j = int(np.argmin(lam))
     if math.isinf(lam[j]):
         return LambdaResult(math.inf, None)
-    n = d.n
-    xi = _pinch_direction(d.S_r.reshape(-1, n, n)[j], d.S_i.reshape(-1, n, n)[j], float(hi[j]))
+    S_r, S_i = d.unit.reshape(2, -1, d.n, d.n)[:, j]
+    xi = _pencil_direction(S_r, float(hi[j]) * S_i)
     return LambdaResult(float(lam[j]), xi, j if d.S_r.ndim > 2 else None)
 
 
@@ -469,14 +464,15 @@ def q_sufficiency(A, b, c, a, div_b, div_c, p, alpha=0.0, beta=0.0):
 
     w = np.linalg.eigvalsh(M)
     w_min = w[..., 0]
-    psd = w_min >= -TOL_PSD * (1.0 + np.abs(w).sum(axis=-1))
+    psd = w_min >= -TOL_PSD * np.abs(w).sum(axis=-1)
     z, residual = psd_pinv_apply(M, -0.5 * ell)
     ell_norm = np.sqrt(_dot(ell, ell))
     # a linear part escaping the range of M leaves the form unbounded below
-    bounded = psd & ~(residual > TOL_SYS * (1.0 + ell_norm))
+    bounded = psd & ~(residual > TOL_SYS * ell_norm)
     # const + (1/2) <ell, z> = const - (1/4) <M^+ ell, ell>
-    min_value = np.where(bounded, const + 0.5 * _dot(ell, z), -math.inf)
-    ok = min_value >= -TOL_PSD * (1.0 + np.abs(const) + ell_norm ** 2)
+    half = 0.5 * _dot(ell, z)
+    min_value = np.where(bounded, const + half, -math.inf)
+    ok = min_value >= -TOL_PSD * (np.abs(const) + np.abs(half))
     per_node = (ok, w_min, np.where(psd, residual, math.nan), min_value)
     return QSufficiency(*map(_per_matrix, per_node), p, alpha, beta)
 
@@ -505,17 +501,13 @@ class ConstVerdict:
 def constant_coeff_verdict(A, b, a, p):
     """Dissipativity of a constant coefficient operator (no second drift).
 
-    The skew part of A is symmetrized away first: for constant
-    coefficients it contributes nothing to the operator.
+    Only the symmetric parts of A enter (``decompose``): for constant
+    coefficients the skew part contributes nothing to the operator.
     """
     p = _validate_p(p)
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    b = np.asarray(b, dtype=complex).reshape(n)
-    a = complex(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = 0.5 * (A + A.T)
     d = decompose(A)
+    b = np.asarray(b, dtype=complex).reshape(d.n)
+    a = complex(a)
 
     imb = b.imag.astype(float)
     if not check_p_condition(d, p):
@@ -523,7 +515,7 @@ def constant_coeff_verdict(A, b, a, p):
 
     # drift compensation: 2 S_r V = -Im b, solved as S_r V = -Im b / 2
     V, residual = psd_pinv_apply(d.S_r, -0.5 * imb)
-    if residual > TOL_SYS * (1.0 + float(np.linalg.norm(imb))):
+    if residual > TOL_SYS * float(np.linalg.norm(imb)):
         return ConstVerdict(False, "system_inconsistent", None, residual, math.nan, None)
 
     quad = float(V @ (d.S_r @ V))
@@ -535,6 +527,6 @@ def constant_coeff_verdict(A, b, a, p):
         # psd_pinv_apply is linear and scaling by -0.5 is exact, so
         # S_r^{-1} Im b is -2 V bit for bit and needs no second solve.
         corollary = 4.0 * a.real - 2.0 * float(imb @ V)
-    if margin > TOL_ZERO * (1.0 + abs(a.real) + abs(quad)):
+    if margin > TOL_ZERO * (abs(a.real) + abs(quad)):
         return ConstVerdict(False, "zero_order_positive", V, residual, margin, corollary)
     return ConstVerdict(True, None, V, residual, margin, corollary)

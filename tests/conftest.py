@@ -19,7 +19,7 @@ from dissipate.cli import main as cli_main
 from dissipate.coeffspec import _eval_field, bump, sample_operator
 from dissipate.formcheck import MASK_EPS
 from dissipate.grids import Grid, GridFunction
-from dissipate.pointwise import TOL_PSD
+from dissipate.pointwise import TOL_PENCIL
 from dissipate.semigroup import _staggered_meshes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -96,18 +96,28 @@ def seeded_matrices(count=200, seed=1234, dims=(1, 2, 3, 5), allow_zero_im=True)
     return mats
 
 
+def unit_pair_oracle(S_r, S_i):
+    """S_r and S_i of one node divided by the largest |S_r| entry, or by
+    2^-500 times the largest |S_i| entry where that is larger, or by the
+    largest |S_i| entry where S_r = 0 (a zero pair stays zero)."""
+    big_r, big_i = float(np.abs(S_r).max()), float(np.abs(S_i).max())
+    scale = max(big_r, 2.0**-500 * big_i) if big_r > 0.0 else big_i
+    scale = scale if scale > 0.0 else 1.0
+    return S_r / scale, S_i / scale
+
+
 def pencil_oracle(S_r, S_i):
-    """The PSD test of the pencils S_r +- t S_i from numpy eigenvalues,
-    and its tolerance (numpy directly, not through ``pointwise``)."""
-    tol = TOL_PSD * (1.0 + np.abs(np.linalg.eigvalsh(S_r)).sum())
+    """The PSD test of the pencils S_r +- t S_i of the node's unit pair
+    from numpy eigenvalues (numpy directly, not through ``pointwise``)."""
+    S_r, S_i = unit_pair_oracle(S_r, S_i)
 
     def feasible(t):
         return (
-            np.linalg.eigvalsh(S_r + t * S_i).min() >= -tol
-            and np.linalg.eigvalsh(S_r - t * S_i).min() >= -tol
+            np.linalg.eigvalsh(S_r + t * S_i).min() >= -TOL_PENCIL
+            and np.linalg.eigvalsh(S_r - t * S_i).min() >= -TOL_PENCIL
         )
 
-    return feasible, tol
+    return feasible
 
 
 def _bisect(feasible, lo, hi):
@@ -132,12 +142,15 @@ def _doubled(feasible, lo, hi):
     return _bisect(feasible, lo, hi)
 
 
-def window_ends_oracle(S_r, S_i, tol):
+def window_ends_oracle(S_r, S_i):
     """The four ends ``lambda_nodes`` tests first, in ascending order,
-    from numpy eigenvalues of one matrix: the outer window (1 -+ 1e-9) t0
-    around the inner window (1 -+ 4e-13) t0 of the closed-form ratio
-    t0 = 1 / max |eig(W^T S_i W)|, W = V (w + tol)^(-1/2) from
-    ``eigh(S_r)``.  Without a positive seed up to 2^59 every end is 1."""
+    from numpy eigenvalues of one node's unit pair: the outer window
+    (1 -+ 1e-9) t0 around the inner window (1 -+ 4e-13) t0 of the
+    closed-form ratio t0 = 1 / max |eig(W^T S_i W)|, W = V (w + tol)^(-1/2)
+    from ``eigh(S_r)`` and tol the pencil slack.  Without a positive seed
+    up to 2^59 every end is 1."""
+    S_r, S_i = unit_pair_oracle(S_r, S_i)
+    tol = TOL_PENCIL
     w, V = np.linalg.eigh(S_r)
     if (w + tol > 0.0).all():
         W = V / np.sqrt(w + tol)
@@ -158,10 +171,10 @@ def lam_bracket_oracle(S_r, S_i):
     (lam, hi): the ratio and the upper end of its final bracket, both
     inf when the ratio is.
     """
-    feasible, tol = pencil_oracle(S_r, S_i)
+    feasible = pencil_oracle(S_r, S_i)
     if not S_i.any():
         return math.inf, math.inf
-    ends = window_ends_oracle(S_r, S_i, tol)
+    ends = window_ends_oracle(S_r, S_i)
     for below, end in zip([0.0] + ends, ends):
         if not feasible(end):
             return _bisect(feasible, below, end)
@@ -172,7 +185,7 @@ def lam_doubling_oracle(S_r, S_i):
     """The ratio by the earlier search from t = 1 (numpy): [1, 2] doubled
     while its top is feasible, else [0, 1], then bisection.  Returns
     (lam, hi) as ``lam_bracket_oracle`` does."""
-    feasible, _ = pencil_oracle(S_r, S_i)
+    feasible = pencil_oracle(S_r, S_i)
     if not S_i.any():
         return math.inf, math.inf
     if feasible(1.0):
@@ -186,8 +199,9 @@ def lam_oracle(S_r, S_i):
 
 
 def pinch_oracle(S_r, S_i, t):
-    """Lowest eigenvector (numpy) of the lower of the pencils S_r +- t S_i,
-    signed so that its largest entry is positive."""
+    """Lowest eigenvector (numpy) of the lower of the pencils S_r +- t S_i
+    of the node's unit pair, signed so that its largest entry is positive."""
+    S_r, S_i = unit_pair_oracle(S_r, S_i)
     wp, Vp = np.linalg.eigh(S_r + t * S_i)
     wm, Vm = np.linalg.eigh(S_r - t * S_i)
     xi = Vp[:, 0] if wp[0] <= wm[0] else Vm[:, 0]
@@ -195,13 +209,12 @@ def pinch_oracle(S_r, S_i, t):
 
 
 def p_condition_oracle(A, p):
-    """The p-condition of one complex matrix from numpy eigenvalues."""
-    S_r = 0.5 * (A.real + A.real.T)
-    S_i = 0.5 * (A.imag + A.imag.T)
-    tol = TOL_PSD * (1.0 + np.abs(np.linalg.eigvalsh(S_r)).sum())
+    """The p-condition of one complex matrix from numpy eigenvalues of its
+    unit pair."""
+    S_r, S_i = unit_pair_oracle(0.5 * (A.real + A.real.T), 0.5 * (A.imag + A.imag.T))
     s = 2.0 * math.sqrt(p - 1.0)
     return all(
-        np.linalg.eigvalsh(s * S_r + sign * (p - 2.0) * S_i).min() >= -tol
+        np.linalg.eigvalsh(s * S_r + sign * (p - 2.0) * S_i).min() >= -TOL_PENCIL
         for sign in (1.0, -1.0)
     )
 

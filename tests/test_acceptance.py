@@ -187,7 +187,7 @@ def test_criterion_06_skew_field_preset(announce):
     x1, x2 = op.grid.meshes()
     u0 = GridFunction(op.grid, np.sin(np.pi * x1) * np.sin(np.pi * x2) + 0j)
     trace = evolve(op, u0, dt=1e-5, t_end=5e-3, p=2.0)
-    noninc = trace.nonincreasing(per_step_tol=1e-10)
+    noninc = trace.nonincreasing()
     ok = cond_ok and not suff.ok and not fr.found and noninc and len(trace.norms) == 501
     announce(
         6,

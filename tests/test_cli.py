@@ -516,6 +516,23 @@ class TestGridCap:
         assert payload["numbers"]["nodes"] == NODE_CAP
 
 
+BACKWARD_HEAT = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "-1e-12"}]]}
+# the same with a large Im A, which must not hide the negative Re A
+BACKWARD_HEAT_WITH_IM = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "-1e-6", "im": "1e6"}]]}
+
+
+def unit_diagonal_doc(entry):
+    """A 2D document with entry (1 + i) on the diagonal."""
+    A = [[{"re": entry, "im": entry}, {}], [{}, {"re": entry, "im": entry}]]
+    return {"n": 2, "domain": [[0, 1], [0, 1]], "grid": [8, 8], "A": A}
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    return str(path)
+
+
 class TestCheck:
     def test_two_sided_verdict_without_lower_order_terms(self):
         payload = json_out("check", preset("one_plus_i_laplacian"), "--p", "3", "--format", "json")
@@ -531,6 +548,18 @@ class TestCheck:
         assert v["decision"] is True
         assert v["qualifier"] == "necessary-only"
         assert v["dissipative"] is None
+
+    @pytest.mark.parametrize("doc", [BACKWARD_HEAT, BACKWARD_HEAT_WITH_IM], ids=["real", "with_im"])
+    def test_a_small_backward_heat_operator_is_not_dissipative(self, tmp_path, doc):
+        # a tolerance with an absolute floor once read A = -1e-12 as
+        # dissipative; the condition is homogeneous in A, and at p = 2 it
+        # is Re A >= 0 whatever Im A is
+        path = write_doc(tmp_path, "backward", doc)
+        v = json_out("check", path, "--p", "2", "--format", "json")["verdict"]
+        assert v["decision"] is False and v["dissipative"] is False
+        assert run_cli("interval", path) == (2, "", "error: Re A has a negative direction\n")
+        suff = json_out("sufficiency", path, "--p", "2", "--format", "json")
+        assert suff["verdict"]["decision"] is False
 
     def test_failing_check_names_a_direction(self):
         payload = json_out("check", preset("one_plus_i_laplacian"), "--p", "12", "--format", "json")
@@ -590,6 +619,20 @@ class TestInterval:
         assert large["p_max"] == pytest.approx(unit["p_max"], rel=1e-9)
         assert check["verdict"]["decision"] is False
         assert check["verdict"]["qualifier"] == "necessary-and-sufficient"
+
+    @pytest.mark.parametrize("entry", ["2^-40", "2^40"])
+    def test_a_power_of_two_multiple_has_the_same_report_numbers(self, tmp_path, entry):
+        unit = json_out("interval", write_doc(tmp_path, "unit", unit_diagonal_doc("1")), "--format", "json")
+        other = json_out("interval", write_doc(tmp_path, "other", unit_diagonal_doc(entry)), "--format", "json")
+        assert unit["numbers"]["full"] is False
+        for section in ("verdict", "numbers", "witness"):
+            assert other[section] == unit[section]
+
+    def test_subnormal_entries_get_a_finite_interval(self, tmp_path):
+        doc = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "1e-310", "im": "1e-310"}]]}
+        numbers = json_out("interval", write_doc(tmp_path, "subnormal", doc), "--format", "json")["numbers"]
+        assert numbers["full"] is False
+        assert numbers["lambda"] == pytest.approx(1.0, rel=1e-9)
 
     def test_constant_interval_has_a_single_node(self):
         payload = json_out("interval", preset("example3"), "--format", "json")
@@ -727,6 +770,15 @@ class TestSimulate:
         assert payload["numbers"]["steps"] == 50
         assert payload["numbers"]["omega_estimate"] == 0.0
         assert payload["numbers"]["norm_final"] < payload["numbers"]["norm_initial"]
+
+    def test_an_exponent_past_the_norm_range_exits_two(self):
+        # |u|^p of the largest entry would underflow past p = 1022, and the
+        # norm would read 0
+        code, out, err = run_cli(
+            "simulate", preset("laplacian1d"), "--p", "2000", "--dt", "1e-3", "--t-end", "1e-2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: norm exponent must be finite and >= 1, at most 1022, got 2000.0\n"
 
     def test_trace_csv_is_written(self, tmp_path):
         out_csv = tmp_path / "trace.csv"

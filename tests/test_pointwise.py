@@ -226,7 +226,7 @@ class TestPCondition:
                 if check_p_condition(d, p):
                     continue
                 xi = violating_direction(d, p)
-                assert xi[np.flatnonzero(xi)[0]] > 0.0
+                assert xi[np.argmax(np.abs(xi))] > 0.0
                 re = xi @ d.S_r @ xi
                 im = xi @ d.S_i @ xi
                 assert abs(p - 2.0) * abs(im) > 2.0 * math.sqrt(p - 1.0) * re
@@ -303,8 +303,8 @@ def passed_ends(S_r, S_i):
     """How many of the four first ends of ``lambda_nodes`` pass the pencil
     test before one fails: 2 where the inner window straddles the edge,
     1 or 3 where only the outer window does, 0 below it and 4 above it."""
-    feasible, tol = pencil_oracle(S_r, S_i)
-    ends = window_ends_oracle(S_r, S_i, tol)
+    feasible = pencil_oracle(S_r, S_i)
+    ends = window_ends_oracle(S_r, S_i)
     return next((k for k, t in enumerate(ends) if not feasible(t)), len(ends))
 
 
@@ -332,9 +332,8 @@ class TestNodeKernels:
     @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_the_ratio_of_large_coefficients_equals_the_oracle(self, n, scale):
-        # the ratio is homogeneous in A once the 1 in the PSD tolerance is
-        # negligible; squared entries past about 1e154 overflow, and an
-        # inf norm would read every node as blind to Im A
+        # the ratio is homogeneous in A; squared entries past about 1e154
+        # overflow, and an inf norm would read every node as blind to Im A
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lam = self.ratio_equal_to_the_oracle(wide_stack(n) * scale)
@@ -343,6 +342,9 @@ class TestNodeKernels:
         finite = np.isfinite(ref)
         # the bisection stops at width 1e-12 (1 + hi), absolute near t = 0
         np.testing.assert_allclose(lam[finite], ref[finite], rtol=1e-9, atol=1e-11)
+        # a power of two scales the unit pairs exactly: the same bits
+        exact, _ = lambda_nodes(decompose(wide_stack(n) * (scale * 2.0**-400)))
+        assert lam.tolist() == exact.tolist()
 
     def test_stack_shape_is_kept(self):
         A = node_stack(2, seed=7, count=12).reshape(3, 4, 2, 2)
@@ -424,7 +426,7 @@ class TestNodeKernels:
         assert lam[-2] == pytest.approx(3.0, rel=1e-9)
         assert np.isinf(lam[-1]) == (bracket_max is not None)
         for j in np.flatnonzero(np.isfinite(lam)):
-            feasible, _ = pencil_oracle(d.S_r[j], d.S_i[j])
+            feasible = pencil_oracle(d.S_r[j], d.S_i[j])
             assert feasible(lam[j]) and not feasible(hi[j])
         assert np.isinf(hi[np.isinf(lam)]).all()
         if bracket_max is None:
@@ -694,6 +696,17 @@ class TestConstantVerdict:
             S_r = decompose(0.5 * (A + A.T)).S_r
             y, _ = psd_pinv_apply(S_r, b.imag)
             assert v.corollary_margin == 4.0 * a.real + float(b.imag @ y)
+
+    def test_decompose_needs_no_symmetrized_input(self):
+        # the verdict decomposes A as it is: its parts equal those of
+        # 0.5 (A + A^T) bit for bit, over entries from 1e-200 to 1e200
+        rng = np.random.default_rng(90)
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            mag = 10.0 ** rng.uniform(-200.0, 200.0, size=(2, n, n))
+            A = rng.normal(size=(n, n)) * mag[0] + 1j * rng.normal(size=(n, n)) * mag[1]
+            d, sym = decompose(A), decompose(0.5 * (A + A.T))
+            assert np.array_equal(d.S_r, sym.S_r) and np.array_equal(d.S_i, sym.S_i)
 
     def test_skew_real_part_is_immaterial(self):
         A = np.array([[2.0, 0.3], [0.3, 1.0]]) + 0j
