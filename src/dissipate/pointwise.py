@@ -13,22 +13,19 @@ The central question is, for a given exponent p in (1, inf):
 
     |p - 2| |<Im A xi, xi>|  <=  2 sqrt(p-1) <Re A xi, xi>   for all real xi,
 
-which is equivalent to both symmetric matrices
-
-    2 sqrt(p-1) S_r + (p-2) S_i   and   2 sqrt(p-1) S_r - (p-2) S_i
-
-being positive semidefinite, where S_r, S_i are the symmetric parts of
-Re A and Im A.  The supremum ratio
+that is (divided by 2 sqrt(p-1)), the pencil S_r +- t(p) S_i is PSD, with
+t(p) = (p - 2) / (2 sqrt(p-1)) signed and S_r, S_i the symmetric parts
+of Re A and Im A.  The ratio
 
     lam = inf { <S_r xi, xi> / |<S_i xi, xi>| : <S_i xi, xi> != 0 }
 
-controls the full admissible interval of exponents
+is the largest t at which the pencil passes, so p is admissible iff
+|t(p)| <= lam, and ``p_interval`` inverts t on that set:
 [2 + 2 lam (lam - sqrt(lam^2+1)), 2 + 2 lam (lam + sqrt(lam^2+1))],
-whose endpoints are Hoelder conjugate.  ``lambda_nodes`` tests two
-nested windows around its closed form 1 / max |eig(S_i, S_r)| against
-the same PSD test as the p-condition, in one LAPACK call; the inner
-window is already narrow enough to settle the ratio, and bisection runs
-only where the edge falls outside it.
+with Hoelder conjugate ends.  ``p_condition_nodes`` tests the pencil at
+t(p); ``lambda_nodes`` tests it at two nested windows around the closed
+form 1 / max |eig(S_i, S_r)| in one LAPACK call, and bisects only where
+the edge falls outside the inner window.
 
 The verdicts are homogeneous in A, as the condition is: the pencil tests
 see each node divided once by its largest |S_r| entry (``SymDecomp.unit``),
@@ -37,9 +34,11 @@ negative Re A.  The other tolerances are purely relative.
 
 The eigenvalue workhorse is LAPACK's symmetric solver (numpy.linalg
 eigh/eigvalsh), which also backs the pseudo-inverse for singular linear
-systems.  A matrix is checked (square, finite, symmetric) once, where
-it enters: when a ``SymDecomp`` is built and in ``jacobi_eigh``.  The
-node kernels see only matrices built from a checked SymDecomp.
+systems; the pseudo-inverse's eigenvalues also decide PSD and rank, so
+each matrix is decomposed once.  A matrix is checked (square, finite,
+symmetric) once, where it enters: when a ``SymDecomp`` is built and in
+``jacobi_eigh``.  The node kernels see only matrices built from a
+checked SymDecomp.
 """
 
 from __future__ import annotations
@@ -194,26 +193,29 @@ def psd_pinv_apply(S, rhs):
     eigendecomposition pseudo-inverse, for one matrix or matrix by matrix
     over a stack: S of shape (..., n, n), rhs of shape (..., n).
 
-    Returns (x, residual_norm): x has the shape of rhs, and the norm of
-    S x - rhs is a float for a single matrix and an array of the stack's
-    shape otherwise.
+    Returns (x, residual_norm, w, singular): x has the shape of rhs, w the
+    eigenvalues of S (ascending), and |S x - rhs| and ``singular`` (some
+    |w| <= RANK_TOL max |w| was cut) are a float and a bool for a single
+    matrix, arrays of the stack's shape otherwise.
     """
     w, V = jacobi_eigh(S, vectors=True)
     cutoff = RANK_TOL * np.maximum(np.abs(w).max(axis=-1, initial=0.0), 1e-300)
-    inv = np.where(np.abs(w) > cutoff[..., None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    kept = np.abs(w) > cutoff[..., None]
+    inv = np.where(kept, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     x = _matvec(V, inv * _matvec(V.swapaxes(-1, -2), rhs))
     r = _matvec(S, x) - rhs
-    return x, _per_matrix(np.sqrt(_dot(r, r)))
+    return x, _per_matrix(np.sqrt(_dot(r, r))), w, _per_matrix(~kept.all(axis=-1))
 
 
 # ----------------------------------------------------------------------
 # the algebraic p-condition
 
 
-def _pencils_psd(S, step, tol):
-    """Per matrix of a stack: both S + step and S - step PSD to -tol,
-    decided in one LAPACK call."""
-    return (np.linalg.eigvalsh(np.stack((S + step, S - step)))[..., 0] >= -tol).all(axis=0)
+def _pencils_psd(S_r, S_i, t):
+    """Per matrix of a stack: both S_r + t S_i and S_r - t S_i PSD to
+    -TOL_PENCIL, for a scalar t or one t per matrix, in one LAPACK call."""
+    step = np.asarray(t)[..., None, None] * S_i
+    return (np.linalg.eigvalsh(np.stack((S_r + step, S_r - step)))[..., 0] >= -TOL_PENCIL).all(axis=0)
 
 
 def _validate_p(p):
@@ -222,18 +224,18 @@ def _validate_p(p):
     return float(p)
 
 
+def _pencil_t(p):
+    """The signed t(p) = (p - 2) / (2 sqrt(p-1)) of the p-condition's pencil."""
+    p = _validate_p(p)
+    return (p - 2.0) / (2.0 * math.sqrt(p - 1.0))
+
+
 def p_condition_nodes(d, p):
     """Per-node p-condition of a stacked SymDecomp: a bool array of the
     stack's shape, true where |p-2| |<Im A xi,xi>| <= 2 sqrt(p-1) <Re A xi,xi>
-    for all xi.
-
-    Decided through the two matrices 2 sqrt(p-1) S_r +- (p-2) S_i of the
-    node's unit pair, each required to have smallest eigenvalue
-    >= -TOL_PENCIL; both pencils of every node go to LAPACK in one call.
-    """
-    p = _validate_p(p)
-    S_r, S_i = d.unit
-    return _pencils_psd(2.0 * math.sqrt(p - 1.0) * S_r, (p - 2.0) * S_i, TOL_PENCIL)
+    for all xi, that is, where ``_pencils_psd`` passes the node's unit
+    pair at t(p); every node goes to LAPACK in one call."""
+    return _pencils_psd(*d.unit, _pencil_t(p))
 
 
 def check_p_condition(d, p):
@@ -242,22 +244,20 @@ def check_p_condition(d, p):
     return bool(p_condition_nodes(d, p))
 
 
-def _pencil_direction(S, step):
-    """Lowest eigenvector of whichever of S + step and S - step has the
-    lower smallest eigenvalue (S + step on a tie), signed so that its
-    largest entry is positive."""
-    w, V = np.linalg.eigh(np.stack((S + step, S - step)))
+def _pencil_direction(S_r, S_i, t):
+    """Lowest eigenvector of whichever of S_r + t S_i and S_r - t S_i has
+    the lower smallest eigenvalue (S_r + t S_i on a tie), signed so that
+    its largest entry is positive."""
+    w, V = np.linalg.eigh(np.stack((S_r + t * S_i, S_r - t * S_i)))
     xi = V[0, :, 0] if w[0, 0] <= w[1, 0] else V[1, :, 0]
     return -xi if xi[np.argmax(np.abs(xi))] < 0.0 else xi
 
 
 def violating_direction(d, p):
     """A direction xi of the single matrix d on which the p-condition
-    fails when it fails: the ``_pencil_direction`` of the pencils
-    2 sqrt(p-1) S_r +- (p-2) S_i of its unit pair."""
-    p = _validate_p(p)
-    S_r, S_i = d.unit
-    return _pencil_direction(2.0 * math.sqrt(p - 1.0) * S_r, (p - 2.0) * S_i)
+    fails when it fails: the ``_pencil_direction`` of the pencil
+    S_r +- t(p) S_i of its unit pair."""
+    return _pencil_direction(*d.unit, _pencil_t(p))
 
 
 class NonnegativityError(ValueError):
@@ -314,13 +314,13 @@ def lambda_nodes(d):
         (-SEED_RELWIDTH, -0.4 * BISECT_RELWIDTH, 0.4 * BISECT_RELWIDTH, SEED_RELWIDTH), seeded
     )
     ends = t0 * (1.0 + rel)
-    ok = _pencils_psd(S_r, ends[..., None, None] * S_i, TOL_PENCIL)
+    ok = _pencils_psd(S_r, S_i, ends)
     passed = np.logical_and.accumulate(ok).sum(axis=0)
     edges = np.concatenate((np.zeros_like(ends[:1]), ends, 2.0 * ends[-1:]))
     lo, hi = np.take_along_axis(edges, np.stack((passed, passed + 1)), axis=0)
     grow = np.flatnonzero(passed == len(ends))
     while grow.size:
-        grow = grow[_pencils_psd(S_r[grow], hi[grow][:, None, None] * S_i[grow], TOL_PENCIL)]
+        grow = grow[_pencils_psd(S_r[grow], S_i[grow], hi[grow])]
         lo[grow] = hi[grow]
         hi[grow] *= 2.0
         # no bracket below 2^60: lo = inf stops the node at the first width test
@@ -337,7 +337,7 @@ def lambda_nodes(d):
         if not nodes.size:
             break
         mid = 0.5 * (lo + hi)
-        ok = _pencils_psd(S_r, mid[:, None, None] * S_i, TOL_PENCIL)
+        ok = _pencils_psd(S_r, S_i, mid)
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     lam_hi[np.isinf(lam)] = math.inf
@@ -367,7 +367,7 @@ def lambda_of(d):
     if math.isinf(lam[j]):
         return LambdaResult(math.inf, None)
     S_r, S_i = d.unit.reshape(2, -1, d.n, d.n)[:, j]
-    xi = _pencil_direction(S_r, float(hi[j]) * S_i)
+    xi = _pencil_direction(S_r, S_i, float(hi[j]))
     return LambdaResult(float(lam[j]), xi, j if d.S_r.ndim > 2 else None)
 
 
@@ -462,10 +462,9 @@ def q_sufficiency(A, b, c, a, div_b, div_c, p, alpha=0.0, beta=0.0):
     ell = np.concatenate((-2.0 * (alpha * b.real / p - beta * c.real / pp), (b + c).imag), axis=-1)
     const = np.real(div_b) * (1.0 - alpha) / p - np.real(div_c) * (1.0 - beta) / pp - np.real(a)
 
-    w = np.linalg.eigvalsh(M)
+    z, residual, w, _ = psd_pinv_apply(M, -0.5 * ell)
     w_min = w[..., 0]
     psd = w_min >= -TOL_PSD * np.abs(w).sum(axis=-1)
-    z, residual = psd_pinv_apply(M, -0.5 * ell)
     ell_norm = np.sqrt(_dot(ell, ell))
     # a linear part escaping the range of M leaves the form unbounded below
     bounded = psd & ~(residual > TOL_SYS * ell_norm)
@@ -514,19 +513,16 @@ def constant_coeff_verdict(A, b, a, p):
         return ConstVerdict(False, "p_condition_failed", None, math.nan, math.nan, None)
 
     # drift compensation: 2 S_r V = -Im b, solved as S_r V = -Im b / 2
-    V, residual = psd_pinv_apply(d.S_r, -0.5 * imb)
+    V, residual, _, singular = psd_pinv_apply(d.S_r, -0.5 * imb)
     if residual > TOL_SYS * float(np.linalg.norm(imb)):
         return ConstVerdict(False, "system_inconsistent", None, residual, math.nan, None)
 
     quad = float(V @ (d.S_r @ V))
     margin = a.real + quad
-    corollary = None
-    w = np.abs(np.linalg.eigvalsh(d.S_r))
-    if w.min() > RANK_TOL * max(w.max(), 1e-300):
-        # nonsingular: the closed form 4 Re a <= -<S_r^{-1} Im b, Im b>.
-        # psd_pinv_apply is linear and scaling by -0.5 is exact, so
-        # S_r^{-1} Im b is -2 V bit for bit and needs no second solve.
-        corollary = 4.0 * a.real - 2.0 * float(imb @ V)
+    # nonsingular: the closed form 4 Re a <= -<S_r^{-1} Im b, Im b>.
+    # psd_pinv_apply is linear and scaling by -0.5 is exact, so
+    # S_r^{-1} Im b is -2 V bit for bit and needs no second solve.
+    corollary = None if singular else 4.0 * a.real - 2.0 * float(imb @ V)
     if margin > TOL_ZERO * (abs(a.real) + abs(quad)):
         return ConstVerdict(False, "zero_order_positive", V, residual, margin, corollary)
     return ConstVerdict(True, None, V, residual, margin, corollary)

@@ -209,14 +209,10 @@ def pinch_oracle(S_r, S_i, t):
 
 
 def p_condition_oracle(A, p):
-    """The p-condition of one complex matrix from numpy eigenvalues of its
-    unit pair."""
-    S_r, S_i = unit_pair_oracle(0.5 * (A.real + A.real.T), 0.5 * (A.imag + A.imag.T))
-    s = 2.0 * math.sqrt(p - 1.0)
-    return all(
-        np.linalg.eigvalsh(s * S_r + sign * (p - 2.0) * S_i).min() >= -TOL_PENCIL
-        for sign in (1.0, -1.0)
-    )
+    """The p-condition of one complex matrix: the numpy pencil test of
+    ``pencil_oracle`` at the signed t(p) = (p - 2) / (2 sqrt(p-1))."""
+    feasible = pencil_oracle(0.5 * (A.real + A.real.T), 0.5 * (A.imag + A.imag.T))
+    return bool(feasible((p - 2.0) / (2.0 * math.sqrt(p - 1.0))))
 
 
 def padded_gradient_oracle(values, spacing):

@@ -643,6 +643,38 @@ class TestInterval:
         assert json_out("check", preset("example3"), "--p", "4", "--format", "json")["verdict"]["decision"] is True
 
 
+    @pytest.mark.parametrize("name", ["example3", "one_plus_i_laplacian"])
+    def test_check_holds_at_the_printed_ends(self, name):
+        # check and interval test the one pencil S_r +- t(p) S_i
+        numbers = json_out("interval", preset(name), "--format", "json")["numbers"]
+        assert numbers["full"] is False
+        for end in (numbers["p_min"], numbers["p_max"]):
+            payload = json_out("check", preset(name), "--p", repr(end), "--format", "json")
+            assert payload["verdict"]["decision"] is True
+
+
+class TestEigenCalls:
+    @pytest.mark.parametrize("argv,calls", [
+        # the pencils of check, then the pseudo-inverse's eigh, whose
+        # eigenvalues also decide the rank
+        (("constant", "example3", "--p", "4"), ["eigvalsh", "eigh"]),
+        # one eigh of the stacked 2n-by-2n matrices decides PSD and solves
+        (("sufficiency", "example2", "--p", "2"), ["eigh"]),
+    ], ids=["constant", "sufficiency"])
+    def test_each_matrix_is_decomposed_once(self, monkeypatch, argv, calls):
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                seen.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        command, doc, *rest = argv
+        code, _, err = run_cli(command, preset(doc), *rest)
+        assert (code, err) == (0, "")
+        assert seen == calls
+
+
 class TestConstant:
     def test_endpoint_equality_case(self):
         payload = json_out("constant", preset("example3"), "--p", "4", "--format", "json")

@@ -169,14 +169,18 @@ class TestJacobi:
         G[::2, :, 0] = 0.0  # rank deficient, with rhs outside the range
         S = G @ G.swapaxes(-1, -2)
         rhs = rng.normal(size=(5, 3))
-        x, res = psd_pinv_apply(S, rhs)
-        assert x.shape == (5, 3) and res.shape == (5,)
+        x, res, w, singular = psd_pinv_apply(S, rhs)
+        assert x.shape == (5, 3) and res.shape == (5,) and w.shape == (5, 3)
         for j in range(5):
-            xj, rj = psd_pinv_apply(S[j], rhs[j])
-            assert type(rj) is float
-            assert np.array_equal(x[j], xj)
-            assert res[j] == rj
+            xj, rj, wj, sj = psd_pinv_apply(S[j], rhs[j])
+            assert type(rj) is float and type(sj) is bool
+            assert np.array_equal(x[j], xj) and np.array_equal(w[j], wj)
+            assert res[j] == rj and singular[j] == sj
         assert (res[::2] > 1e-8).all() and (res[1::2] < 1e-8).all()
+        # the eigenvalues of the solve are those of jacobi_eigh, and the
+        # rank deficient matrices are the ones with a cut eigenvalue
+        assert np.array_equal(w, jacobi_eigh(S)[0])
+        assert singular.tolist() == [True, False, True, False, True]
 
     def test_min_eigenvalue_closed_form(self):
         S = 2.0 * SQ2 * np.eye(2) - np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -520,6 +524,38 @@ class TestPInterval:
             assert _validate_p(p) == p
 
 
+class TestEndsPassCheck:
+    """``check`` and ``interval`` test the one pencil S_r +- t(p) S_i, so
+    each end of the interval passes ``check`` (within the few ulps where a
+    float p cannot carry t(p)), and an exponent just outside fails."""
+
+    @pytest.fixture(scope="class")
+    def intervals(self):
+        out = []
+        for seed in range(20):
+            for A in seeded_matrices(count=60, seed=seed):
+                d = decompose(A)
+                lam = lambda_of(d).lam
+                if not math.isinf(lam):
+                    out.append((d, p_interval(lam)))
+        assert len(out) == 1120
+        return out
+
+    def test_each_end_passes_within_16_ulps_inward(self, intervals):
+        for d, itv in intervals:
+            for end, inward in ((itv.p_max, -math.inf), (itv.p_min, math.inf)):
+                steps = [end]
+                for _ in range(16):
+                    steps.append(math.nextafter(steps[-1], inward))
+                assert any(check_p_condition(d, p) for p in steps)
+
+    def test_an_exponent_just_outside_fails(self, intervals):
+        for d, itv in intervals:
+            assert not check_p_condition(d, itv.p_max * (1.0 + 1e-9))
+            if itv.p_min * (1.0 - 1e-9) > 1.0:
+                assert not check_p_condition(d, itv.p_min * (1.0 - 1e-9))
+
+
 def skew2(gamma):
     return np.eye(2) + 1j * gamma * np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -694,7 +730,8 @@ class TestConstantVerdict:
             assert v.corollary_margin == pytest.approx(4.0 * v.margin, abs=1e-9 * (1.0 + abs(v.margin)))
             # the closed form through its own solve of S_r y = Im b
             S_r = decompose(0.5 * (A + A.T)).S_r
-            y, _ = psd_pinv_apply(S_r, b.imag)
+            y, _, _, singular = psd_pinv_apply(S_r, b.imag)
+            assert not singular
             assert v.corollary_margin == 4.0 * a.real + float(b.imag @ y)
 
     def test_decompose_needs_no_symmetrized_input(self):
