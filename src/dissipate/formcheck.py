@@ -11,20 +11,22 @@ Two routes to the same number:
   masked modulus direction split (GradientSplit).  Its integrand is
 
       Re <A grad v, grad v>
-        - (1 - 2/p)   Re <(A - A*) grad|v|, |v|^{-1} vbar grad v>
+        - (1 - 2/p)   <(Im A + Im A^T) X, Y>
         - (1 - 2/p)^2 Re <A grad|v|, grad|v|>
         + <Im(b + c), Im(vbar grad v)>
         + Re(div(b)/p - div(c)/p' - a) |v|^2
 
-  with grad|v| taken as the real part X of the split and the singular
-  middle terms dropped on nodes where |v| falls below the mask.  At
-  p = 2 both middle terms vanish, so no split is built.
+  with X + iY = |v|^{-1} vbar grad v the modulus direction split (X
+  stands for grad|v|; the first middle term is Re <(A - A*) X, X + iY>,
+  in which the skew part of Re A cancels) and the singular middle terms
+  dropped on nodes where |v| falls below the mask.  At p = 2 both middle
+  terms vanish, so no split is built.
 
-``FormEvaluator`` samples the coefficients once per grid and keeps A
-and A - A* node last, as (n, n, m) arrays, so that each quadratic form
-is one einsum whose inner loop runs over the m nodes.  It writes each
-evaluation's gradient and conjugates into work buffers of its own, so
-one evaluator serves one caller at a time.
+``FormEvaluator`` samples the coefficients once per grid and keeps A,
+Re A and Im A + Im A^T node last, as (n, n, m) arrays, so that each
+quadratic form is one einsum whose inner loop runs over the m nodes.
+It writes each evaluation's gradient and products into work buffers of
+its own, so one evaluator serves one caller at a time.
 
 ``equivalence_gap`` measures how far the two routes drift apart for a
 given u (it vanishes like h^2 for smooth data).  ``operator_form``
@@ -126,16 +128,17 @@ class FormEvaluator:
     reusable across many functional evaluations (the falsifier calls
     value() thousands of times).
 
-    ``A`` and ``A - A*`` are stored node last, as C-contiguous (n, n, m)
-    arrays, so each quadratic form is one einsum whose inner loop runs
-    over the nodes; ``re_A``, the real part of A, is kept contiguous for
-    the term in X alone, which is real (see ``value``).  ``gamma = 1 -
-    2/p``, the quadrature weight and the zero order factor Re(div b/p -
+    Kept node last, as C-contiguous (n, n, m) arrays, so that each
+    quadratic form is one einsum whose inner loop runs over the nodes:
+    ``A``; its real part ``re_A``, for the term in X alone; and the real
+    ``im_sym`` = Im A + Im A^T for the term in X and Y, None where it
+    vanishes (at Hermitian A).  ``gamma = 1 - 2/p``, the quadrature
+    weight, ``im_bc`` = Im(b + c) and the zero order factor Re(div b/p -
     div c/p' - a), None where it vanishes, are computed once.
 
-    ``value`` writes the gradient, conj(g) (later X + 0j) and conj(X + iY)
-    into (n, m) work buffers that the evaluator owns, so it is not
-    reentrant: an evaluator serves one caller at a time.
+    ``value`` writes the gradient into ``_grad`` and conj(g), the split's
+    phase times g and conj(v) g in turn into ``_prod``, buffers it owns,
+    so it is not reentrant: an evaluator serves one caller at a time.
     """
 
     def __init__(self, spec, grid, p):
@@ -152,43 +155,37 @@ class FormEvaluator:
         self.A = np.ascontiguousarray(sam.A.transpose(1, 2, 0))
         del sam  # the node-first samples go before the arrays below are made
         self.re_A = np.ascontiguousarray(self.A.real)
-        self.A_minus_star = self.A - self.A.conj().transpose(1, 0, 2)
+        im_sym = self.A.imag + self.A.imag.transpose(1, 0, 2)
+        self.im_sym = im_sym if np.any(im_sym != 0.0) else None
         self._grad = np.empty((grid.n,) + tuple(grid.shape), dtype=complex)
-        self._conj_g = np.empty((grid.n, grid.size), dtype=complex)  # then X + 0j, then conj(v) g
-        self._conj_z = np.empty((grid.n, grid.size), dtype=complex)
+        self._prod = np.empty((grid.n, grid.size), dtype=complex)
 
     def value(self, values):
         """The transformed functional at grid values (any matching shape).
 
         At p = 2 the middle terms vanish and only the gradient is taken;
         otherwise the modulus direction split is built from that same
-        gradient.  The last term, Re <A X, X>, is summed on Re A alone,
-        which is exact because X is real: the real part of the complex
-        product (a + ib)(X_k + 0i)(X_h + 0i) is (a X_k) X_h, up to adding
-        the zero b 0 and the sign of a zero, so each summand and the sum
-        are the same for finite values.  (A non-finite gradient makes
-        the value non-finite either way.)
+        gradient.  X and Y are real, so the middle terms are summed on
+        real arrays: the real part of ((a + ib) X_k)(X_h - iY_h) is
+        (a X_k) X_h + (b X_k) Y_h.  With A for a + ib and Y = 0 that is
+        the term on Re A.  With A - A*, a = Re A - Re A^T is skew and sums
+        to zero, so the term takes b = Im A + Im A^T alone: bit for bit
+        where Re A is symmetric, up to rounding elsewhere.  (A non-finite
+        gradient makes the value non-finite either way.)
         """
         gamma = self.gamma
         v = GridFunction(self.grid, np.asarray(values).reshape(self.grid.shape))
         g = v.gradient(out=self._grad).reshape(self.grid.n, -1)
         flat = v.values.reshape(-1)
 
-        total = np.einsum("hkj,kj,hj->j", self.A, g, np.conjugate(g, out=self._conj_g)).real
+        total = np.einsum("hkj,kj,hj->j", self.A, g, np.conjugate(g, out=self._prod)).real
         if gamma != 0.0:
-            zc = self._conj_z
-            sp = _split(flat, g, out=zc)
-            xc = np.add(sp.X, 0j, out=self._conj_g)
-            np.copyto(zc.real, sp.X)
-            np.negative(sp.Y, out=zc.imag)  # zc = conj(X + iY)
-            total = total - gamma * np.einsum(
-                "hkj,kj,hj->j", self.A_minus_star, xc, zc
-            ).real
-            total = total - gamma * gamma * np.einsum(
-                "hkj,kj,hj->j", self.re_A, sp.X, sp.X
-            )
+            sp = _split(flat, g, out=self._prod)
+            if self.im_sym is not None:
+                total = total - gamma * np.einsum("hkj,kj,hj->j", self.im_sym, sp.X, sp.Y)
+            total = total - gamma * gamma * np.einsum("hkj,kj,hj->j", self.re_A, sp.X, sp.X)
         if self.has_im_bc:
-            imvg = np.multiply(flat.conj(), g, out=self._conj_g).imag
+            imvg = np.multiply(flat.conj(), g, out=self._prod).imag
             total = total + np.einsum("kj,kj->j", self.im_bc, imvg)
         if self.zero_order is not None:
             total = total + self.zero_order * (flat.real ** 2 + flat.imag ** 2)

@@ -287,15 +287,18 @@ def lambda_nodes(d):
     admissible).
     """
     S_r, S_i = d.unit.reshape(2, -1, d.n, d.n)
-    # one eigh of every S_r: the nonnegativity test and the seed
-    w, V = np.linalg.eigh(S_r)
-    if (w[:, 0] < -TOL_PENCIL).any():
-        raise NonnegativityError("Re A has a negative direction")
+    shape = d.S_r.shape[:-2]
     lam = np.full(len(S_r), math.inf)
     lam_hi = np.full(len(S_r), math.inf)
     # the nodes that see Im A, with their pencils and seeds, still searching
     seeing = np.linalg.norm(S_i, axis=(1, 2)) > TOL_ZERO * np.linalg.norm(S_r, axis=(1, 2))
     nodes = np.flatnonzero(seeing)
+    # one decomposition of every S_r: the nonnegativity test and, where a node sees Im A, the seed
+    w, V = np.linalg.eigh(S_r) if nodes.size else (np.linalg.eigvalsh(S_r), None)
+    if (w[:, 0] < -TOL_PENCIL).any():
+        raise NonnegativityError("Re A has a negative direction")
+    if not nodes.size:
+        return lam.reshape(shape), lam_hi.reshape(shape)
     S_r, S_i, w, V = S_r[nodes], S_i[nodes], w[nodes], V[nodes]
     # Seed: min eig(S_r +- t S_i) >= -TOL_PENCIL says (S_r + TOL_PENCIL I) +- t S_i
     # is PSD, which holds exactly for t <= t0 = 1 / max |eig(W^T S_i W)| with
@@ -341,7 +344,6 @@ def lambda_nodes(d):
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     lam_hi[np.isinf(lam)] = math.inf
-    shape = d.S_r.shape[:-2]
     return lam.reshape(shape), lam_hi.reshape(shape)
 
 

@@ -278,10 +278,23 @@ def probe_values_oracle(family, params, axes):
     return rho * parts
 
 
-def form_value_oracle(spec, grid, values, p):
+def real_middle_oracle(A, X, Y):
+    """<(Im A + Im A^T) X, Y> at each node, A node first (m, n, n)."""
+    return np.einsum("jhk,kj,hj->j", A.imag + A.imag.transpose(0, 2, 1), X, Y)
+
+
+def complex_middle_oracle(A, X, Y):
+    """Re <(A - A*) X, X + iY> at each node by a complex einsum, A node
+    first (m, n, n): the middle term as written in the functional."""
+    A_minus_star = A - A.conj().transpose(0, 2, 1)
+    return np.einsum("jhk,kj,hj->j", A_minus_star, X + 0j, X - 1j * Y).real
+
+
+def form_value_oracle(spec, grid, values, p, middle=real_middle_oracle):
     """The transformed functional by the node-first formula: padded
     gradient, the full modulus direction split at every exponent and
-    einsums over (m, n, n) coefficients."""
+    einsums over (m, n, n) coefficients, with the term
+    Re <(A - A*) X, X + iY> taken by ``middle``."""
     sam = sample_operator(spec, grid.points())
     vals = np.asarray(values, dtype=complex).reshape(grid.shape)
     g = padded_gradient_oracle(vals, grid.spacing).reshape(grid.n, -1)
@@ -299,8 +312,7 @@ def form_value_oracle(spec, grid, values, p):
     A = sam.A
     total = np.einsum("jhk,kj,hj->j", A, g, g.conj()).real
     if gamma != 0.0:
-        A_minus_star = A - A.conj().transpose(0, 2, 1)
-        total = total - gamma * np.einsum("jhk,kj,hj->j", A_minus_star, X + 0j, X - 1j * Y).real
+        total = total - gamma * middle(A, X, Y)
         total = total - gamma * gamma * np.einsum("jhk,kj,hj->j", A, X + 0j, X + 0j).real
     im_bc = (sam.b + sam.c).imag.T
     if np.any(im_bc != 0.0):

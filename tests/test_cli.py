@@ -660,7 +660,9 @@ class TestEigenCalls:
         (("constant", "example3", "--p", "4"), ["eigvalsh", "eigh"]),
         # one eigh of the stacked 2n-by-2n matrices decides PSD and solves
         (("sufficiency", "example2", "--p", "2"), ["eigh"]),
-    ], ids=["constant", "sufficiency"])
+        # no node sees Im A: the eigenvalues of S_r alone test Re A
+        (("interval", "laplacian1d"), ["eigvalsh"]),
+    ], ids=["constant", "sufficiency", "interval-real"])
     def test_each_matrix_is_decomposed_once(self, monkeypatch, argv, calls):
         seen = []
         for name in ("eigh", "eigvalsh"):

@@ -7,7 +7,7 @@ import pytest
 
 from dissipate import formcheck
 from dissipate.cli import load_preset
-from dissipate.coeffspec import bump, spec_from_dict
+from dissipate.coeffspec import bump, sample_operator, spec_from_dict
 from dissipate.formcheck import (
     _BUMP_SLOTS,
     _WAVE_SLOTS,
@@ -31,6 +31,7 @@ from dissipate.grids import Grid, GridFunction
 from conftest import (
     FULL_COEFF_1D,
     boundary_flat_battery,
+    complex_middle_oracle,
     form_value_oracle,
     mesh_profile_oracle,
     pack_oracle,
@@ -249,6 +250,72 @@ class TestBitExactKernels:
                 moved = vec.copy()
                 moved[j] = min(max(moved[j] + 0.37 * scales[j], lows[j]), highs[j])
                 same(_unpack(family, params, moved, box), unpack_oracle(family, params, moved, box))
+
+
+PRESETS = ["example1", "example2", "example3", "laplacian1d", "one_plus_i_laplacian"]
+
+
+def seeded_field_doc(seed, n, nodes):
+    """A variable field of the benchmark's shape: Re A diagonal, positive
+    and variable; Im A symmetric and variable on and next to the diagonal."""
+    rng = np.random.default_rng(seed)
+
+    def num():
+        return repr(round(float(rng.uniform(0.2, 1.5)), 6))
+
+    A = [[{} for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        A[k][k]["re"] = f"{num()}+{num()}*x{k + 1}^2"
+        for l in range(k, min(k + 2, n)):
+            var = int(rng.integers(1, n + 1))
+            A[k][l]["im"] = A[l][k]["im"] = f"{num()}*(1+0.1*sin({num()}*x{var}+{num()}))"
+    return {"n": n, "domain": [[0.0, 1.0]] * n, "grid": [nodes] * n, "A": A}
+
+
+class TestRealMiddleTerm:
+    """The middle term <(Im A + Im A^T) X, Y> on real arrays against the
+    complex form Re <(A - A*) X, X + iY> it replaces."""
+
+    @staticmethod
+    def pairs(doc, shape=None, count=6):
+        spec = spec_from_dict(doc)
+        grid = Grid.from_spec(spec, shape=shape)
+        probes = falsifier_probes(grid, count, seed=sum(grid.shape))
+        masked = probes[-1].copy()
+        masked.reshape(-1)[::3] = 0.0
+        for p in (1.5, 3.0, 12.0):
+            ev = FormEvaluator(spec, grid, p)
+            for vals in probes + [masked]:
+                yield ev.value(vals), form_value_oracle(spec, grid, vals, p, middle=complex_middle_oracle)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [load_preset(name) for name in PRESETS]
+        + [seeded_field_doc(seed, 2, 24) for seed in (1, 2)]
+        + [seeded_field_doc(seed, 3, 10) for seed in (3, 4)],
+        ids=PRESETS + ["field2d-1", "field2d-2", "field3d-3", "field3d-4"],
+    )
+    def test_symmetric_re_a_gives_the_complex_bits(self, doc):
+        for got, want in self.pairs(doc):
+            assert got == want
+
+    @pytest.mark.parametrize("doc,shape", [(DRIFT_2D, (12, 10)), (DRIFT_3D, (6, 5, 4))], ids=["drift2d", "drift3d"])
+    def test_skew_re_a_moves_the_value_by_rounding_only(self, doc, shape):
+        for got, want in self.pairs(doc, shape, count=40):
+            assert abs(got - want) <= 4.0 * math.ulp(want)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_im_sym_is_kept_where_it_is_nonzero(self, name):
+        spec = spec_from_dict(load_preset(name))
+        grid = Grid.from_spec(spec)
+        ev = FormEvaluator(spec, grid, 3.0)
+        A = sample_operator(spec, grid.points()).A
+        im_sym = (A.imag + A.imag.transpose(0, 2, 1)).transpose(1, 2, 0)
+        if name in ("example1", "example2", "laplacian1d"):
+            assert ev.im_sym is None and not im_sym.any()
+        else:
+            assert ev.im_sym.flags.c_contiguous and ev.im_sym.dtype == np.float64
+            assert (ev.im_sym == im_sym).all()
 
 
 class TestTransformedFunctional:
