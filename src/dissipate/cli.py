@@ -73,18 +73,19 @@ def load_preset(name):
 
 
 def _field_samples(spec):
-    """Coefficient samples for field verdicts: every interior grid node,
-    or the box center when all coefficients are constant."""
+    """Coefficient samples for field verdicts at every interior grid node,
+    or at the box center when all coefficients are constant."""
     if spec.is_constant:
         pts = np.array([[0.5 * (lo + hi) for lo, hi in spec.domain]])
     else:
         pts = Grid.from_spec(spec).points()
-    return sample_operator(spec, pts), pts
+    return sample_operator(spec, pts)
 
 
-def _condition_everywhere(sam, p):
-    """All-nodes pointwise condition; returns (holds, first_bad_index)."""
-    holds = p_condition_nodes(decompose(sam.A), p)
+def _condition_everywhere(dec, p):
+    """All-nodes pointwise condition on the decomposed samples; returns
+    (holds, first_bad_index)."""
+    holds = p_condition_nodes(dec, p)
     bad = int(np.argmin(holds))
     if holds[bad]:
         return True, None
@@ -115,8 +116,8 @@ def _canonical_bump(grid):
 
 
 def _cmd_check(spec, p, args):
-    sam, pts = _field_samples(spec)
-    holds, bad = _condition_everywhere(sam, p)
+    sam = _field_samples(spec)
+    holds, bad = _condition_everywhere(decompose(sam.A), p)
     qualifier = _qualifier(spec, sam)
     if not holds:
         dissipative = False
@@ -127,7 +128,7 @@ def _cmd_check(spec, p, args):
     witness = None
     if bad is not None:
         witness = {
-            "node": [float(v) for v in pts[bad]],
+            "node": [float(v) for v in sam.points[bad]],
             "xi": violating_direction(decompose(sam.A[bad]), p).tolist(),
         }
     return dict(
@@ -144,7 +145,7 @@ def _cmd_check(spec, p, args):
 
 
 def _cmd_interval(spec, p, args):
-    sam, pts = _field_samples(spec)
+    sam = _field_samples(spec)
     res = lambda_of(decompose(sam.A))
     lam = res.lam
     itv = p_interval(lam)
@@ -152,7 +153,7 @@ def _cmd_interval(spec, p, args):
     if res.witness_xi is not None:
         witness = {"xi": list(res.witness_xi)}
         if sam.A.shape[0] > 1:
-            witness["node"] = [float(v) for v in pts[res.node]]
+            witness["node"] = [float(v) for v in sam.points[res.node]]
     return dict(
         inputs={},
         verdict={
@@ -186,7 +187,7 @@ def _constant_sections(sam, p):
 def _cmd_constant(spec, p, args):
     if not spec.is_constant:
         raise SpecError("$", "constant verdict needs constant coefficients")
-    sam, _ = _field_samples(spec)
+    sam = _field_samples(spec)
     notes = ()
     if np.any(sam.c[0] != 0.0):
         notes = ("constant c folded into the drift term",)
@@ -194,10 +195,10 @@ def _cmd_constant(spec, p, args):
 
 
 def _cmd_sufficiency(spec, p, args):
-    sam, pts = _field_samples(spec)
+    sam = _field_samples(spec)
     q = q_sufficiency(sam.A, sam.b, sam.c, sam.a, sam.div_b, sam.div_c, p, args.alpha, args.beta)
     bad = int(np.argmin(q.ok))
-    witness = None if q.ok[bad] else {"node": [float(v) for v in pts[bad]]}
+    witness = None if q.ok[bad] else {"node": [float(v) for v in sam.points[bad]]}
     return dict(
         inputs={"p": p, "alpha": float(args.alpha), "beta": float(args.beta)},
         verdict={"decision": witness is None, "criterion": "q_sufficient"},
@@ -270,11 +271,12 @@ def _cmd_simulate(spec, p, args):
 def _example_skew_field(spec):
     """Dissipative for every p, yet the quadratic sufficiency route and
     the falsifier both (correctly) stay quiet about the other side."""
-    sam, _ = _field_samples(spec)
+    sam = _field_samples(spec)
+    dec = decompose(sam.A)
     numbers = {}
     all_hold = True
     for p in (1.5, 2.0, 4.0):
-        holds, _ = _condition_everywhere(sam, p)
+        holds, _ = _condition_everywhere(dec, p)
         numbers[f"condition_p{p:g}"] = holds
         all_hold = all_hold and holds
     q = q_sufficiency(sam.A, sam.b, sam.c, sam.a, sam.div_b, sam.div_c, 2.0)
@@ -305,8 +307,8 @@ def _example_skew_field(spec):
 def _example_quasi_only(spec):
     """Pointwise condition satisfied, yet a wave probe drives the form
     negative: dissipative only up to a finite positive growth bound."""
-    sam, _ = _field_samples(spec)
-    holds, _ = _condition_everywhere(sam, 2.0)
+    sam = _field_samples(spec)
+    holds, _ = _condition_everywhere(decompose(sam.A), 2.0)
     fr = falsify(spec, 2.0, budget=1500, seed=0)
     numbers = {
         "condition_p2": holds,
@@ -346,7 +348,7 @@ def _example_quasi_only(spec):
 def _example_constant_endpoint(spec):
     """Constant coefficients sitting exactly on the admissibility edge at p = 4."""
     p = 4.0
-    sam, _ = _field_samples(spec)
+    sam = _field_samples(spec)
     sections = _constant_sections(sam, p)
     res = lambda_of(decompose(sam.A[0]))
     itv = p_interval(res.lam)

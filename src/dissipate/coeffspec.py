@@ -5,7 +5,9 @@ An operator is described by a JSON document holding, for each coefficient
 expression strings ("re"/"im") in the variables x1..xn.  This module owns
 
   * the small expression language (parser and evaluator),
-  * loading and validating the JSON document into an OperatorSpec,
+  * loading and validating the JSON document into an OperatorSpec, which
+    decides, once per parsed part, whether each field is zero and whether
+    it is constant,
   * sampling all coefficient fields (and the divergences of b and c,
     by clipped central differences) at arbitrary points of the box.
 
@@ -41,8 +43,6 @@ __all__ = [
     "EvalDomainError",
     "SpecError",
     "parse_expr",
-    "expr_is_zero",
-    "expr_is_constant",
     "bump",
     "ComplexField",
     "OperatorSpec",
@@ -297,7 +297,7 @@ def parse_expr(text):
     return node
 
 
-def expr_is_zero(node):
+def _expr_is_zero(node):
     """Structural zero test (literal 0, possibly negated)."""
     while isinstance(node, Neg):
         node = node.child
@@ -322,37 +322,32 @@ def _max_var_index(node):
     return top
 
 
-def expr_is_constant(node):
-    """True when the tree references no variable."""
-    return _max_var_index(node) == 0
-
-
 # ----------------------------------------------------------------------
 # operator documents
 
 
 @dataclass(frozen=True)
 class ComplexField:
-    """A complex scalar field given by a pair of real expression trees."""
+    """A complex scalar field given by a pair of real expression trees.
+
+    ``is_zero`` (both parts a literal 0, possibly negated) and
+    ``is_constant`` (no variable in either part) are decided where the
+    parts are parsed, by ``_parse_entry``; no reader walks a tree again.
+    A zero field is constant."""
 
     re: object
     im: object
+    is_zero: bool
+    is_constant: bool
 
     def ev(self, xs):
         re = self.re.ev(xs)
         im = self.im.ev(xs)
         return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 
-    @property
-    def is_zero(self):
-        return expr_is_zero(self.re) and expr_is_zero(self.im)
-
-    @property
-    def is_constant(self):
-        return expr_is_constant(self.re) and expr_is_constant(self.im)
-
 
 _ZERO = Num(0.0)
+_ZERO_FIELD = ComplexField(_ZERO, _ZERO, is_zero=True, is_constant=True)  # an absent entry
 
 
 def _finite(val, path):
@@ -370,16 +365,18 @@ def _finite(val, path):
 
 def _parse_entry(raw, path, n):
     """Build a ComplexField from a JSON {"re": ..., "im": ...} object; a
-    missing part is zero, and each part may only reference x1..xn."""
+    missing part is zero, and each part may only reference x1..xn.  The
+    one walk of each part, for that range check, also decides whether the
+    field is constant."""
     if not isinstance(raw, dict):
         raise SpecError(path, "expected an object with 're'/'im' keys")
     extra = set(raw) - {"re", "im"}
     if extra:
         raise SpecError(path, f"unknown keys {sorted(extra)}")
-    parts = {}
+    parts, top = [], 0
     for key in ("re", "im"):
         if key not in raw:
-            parts[key] = _ZERO
+            parts.append(_ZERO)
             continue
         where = f"{path}.{key}"
         val = raw[key]
@@ -396,8 +393,10 @@ def _parse_entry(raw, path, n):
         idx = _max_var_index(node)
         if idx > n:
             raise SpecError(where, f"references x{idx} but n = {n}")
-        parts[key] = node
-    return ComplexField(parts["re"], parts["im"])
+        parts.append(node)
+        top = max(top, idx)
+    re, im = parts
+    return ComplexField(re, im, is_zero=_expr_is_zero(re) and _expr_is_zero(im), is_constant=top == 0)
 
 
 @dataclass(frozen=True)
@@ -420,14 +419,11 @@ class OperatorSpec:
 
     @property
     def has_lower_order_terms(self):
-        lower = list(self.b) + list(self.c) + [self.a]
-        return not all(f.is_zero for f in lower)
+        return not all(f.is_zero for f in (*self.b, *self.c, self.a))
 
     @property
     def is_constant(self):
-        fields = [f for row in self.A for f in row] + list(self.b) + list(self.c)
-        fields.append(self.a)
-        return all(f.is_constant for f in fields)
+        return all(f.is_constant for row in (*self.A, (*self.b, *self.c, self.a)) for f in row)
 
     def box_diameter(self):
         return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.domain))
@@ -490,7 +486,7 @@ def spec_from_dict(doc):
 
     def _vector(key):
         if key not in doc:
-            return tuple(ComplexField(_ZERO, _ZERO) for _ in range(n))
+            return (_ZERO_FIELD,) * n
         vec = doc[key]
         if not isinstance(vec, list) or len(vec) != n:
             raise SpecError(f"$.{key}", f"expected {n} entries")
@@ -500,10 +496,7 @@ def spec_from_dict(doc):
 
     b = _vector("b")
     c = _vector("c")
-    if "a" in doc:
-        a = _parse_entry(doc["a"], "$.a", n)
-    else:
-        a = ComplexField(_ZERO, _ZERO)
+    a = _parse_entry(doc["a"], "$.a", n) if "a" in doc else _ZERO_FIELD
 
     return OperatorSpec(
         n=n,
@@ -613,11 +606,9 @@ def sample_operator(spec, points):
     hi = np.array([d[1] for d in spec.domain])
 
     def _divergence(fields, tag):
-        if all(f.is_zero for f in fields):
-            return np.zeros(m, dtype=complex)
         div = np.zeros(m, dtype=complex)
         for k in range(n):
-            if fields[k].is_zero or fields[k].is_constant:
+            if fields[k].is_constant:
                 continue
             up = pts.copy()
             dn = pts.copy()

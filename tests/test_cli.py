@@ -676,6 +676,13 @@ class TestEigenCalls:
         assert (code, err) == (0, "")
         assert seen == calls
 
+    def test_example_one_decomposes_its_samples_once_for_three_exponents(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "decompose", lambda A: seen.append(A) or decompose(A))
+        code, _, err = run_cli("examples", "--id", "1")
+        assert (code, err) == (0, "")
+        assert len(seen) == 1
+
 
 class TestConstant:
     def test_endpoint_equality_case(self):

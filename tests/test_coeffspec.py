@@ -13,13 +13,15 @@ from dissipate.coeffspec import (
     ExprError,
     SpecError,
     bump,
-    expr_is_constant,
-    expr_is_zero,
     load_doc,
     parse_expr,
     sample_operator,
     spec_from_dict,
 )
+from dissipate.grids import Grid
+from dissipate.semigroup import discretize
+
+from conftest import PRESET_DIR, run_cli
 
 
 def ev(text, *coords):
@@ -37,6 +39,11 @@ def minimal_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+def parsed(entry):
+    """The field of one {"re": ..., "im": ...} entry, parsed as a document's a."""
+    return spec_from_dict(minimal_doc(a=entry)).a
 
 
 class TestGrammar:
@@ -59,7 +66,7 @@ class TestGrammar:
     def test_pi_is_a_bare_constant(self):
         assert ev("cos(pi)", 0.0) == -1.0
         assert parse_expr("pi") == parse_expr(repr(math.pi))
-        assert expr_is_constant(parse_expr("pi"))
+        assert parsed({"re": "pi"}).is_constant
         xs = (np.linspace(0.0, 1.0, 5),)
         assert np.array_equal(parse_expr("pi").ev(xs), np.full(5, math.pi))
 
@@ -81,12 +88,24 @@ class TestGrammar:
         assert ev("tanh(0)", 0.0) == 0.0
         assert ev("bump(0)", 0.0) == pytest.approx(math.exp(-1.0))
 
-    def test_structural_predicates(self):
-        assert expr_is_zero(parse_expr("0"))
-        assert expr_is_zero(parse_expr("-0.0"))
-        assert not expr_is_zero(parse_expr("0 + 0"))
-        assert expr_is_constant(parse_expr("2^(1 + sin(3))"))
-        assert not expr_is_constant(parse_expr("2 + bump(x1)"))
+    def test_the_parser_decides_zero_and_constant(self):
+        assert parsed({"re": "0"}).is_zero
+        assert parsed({"re": "-0.0", "im": -0.0}).is_zero
+        # the zero test is structural: a sum of zeros is not a zero literal
+        assert not parsed({"re": "0 + 0"}).is_zero
+        assert parsed({"re": "0 + 0"}).is_constant
+        assert not parsed({"re": "1"}).is_zero
+        assert parsed({"im": "2^(1 + sin(3))"}).is_constant
+        assert not parsed({"re": "2 + bump(x1)"}).is_constant
+        assert not parsed({"re": "1", "im": "x1"}).is_constant
+
+    def test_missing_parts_and_absent_entries_are_zero_and_constant(self):
+        assert parsed({}).is_zero and parsed({}).is_constant
+        spec = spec_from_dict(minimal_doc(n=2, domain=[[0.0, 1.0]] * 2, grid=[8, 8],
+                                          A=[[{"re": "1"}, {}], [{}, {"re": "1"}]]))
+        for field in (*spec.b, *spec.c, spec.a):
+            assert field.is_zero and field.is_constant
+        assert spec.A[0][1].is_zero
 
 
 class TestGrammarErrors:
@@ -485,3 +504,69 @@ class TestSampling:
         assert sam.div_b.shape == (3,)
         assert sam.A[1, 0, 1] == 0.5j
         assert sam.a[2] == -1.0 + 0.0j
+
+
+VARIABLE_2D = {
+    "n": 2,
+    "domain": [[0.0, 1.0], [-1.0, 1.0]],
+    "grid": [8, 10],
+    "A": [[{"re": "2 + x1", "im": "0.1*x2"}, {"im": "0.2"}], [{"im": "0.2"}, {"re": "1 + x2^2"}]],
+    "b": [{"re": "sin(x1)"}, {"re": "0", "im": "-0.0"}],
+    "c": [{}, {"im": "0.5*x2"}],
+    "a": {"re": "-1", "im": "x1*x2"},
+}
+
+
+def part_count(doc):
+    """The number of re/im parts of a document's entries."""
+    entries = [e for row in doc["A"] for e in row] + doc.get("b", []) + doc.get("c", [])
+    return sum(map(len, entries + ([doc["a"]] if "a" in doc else [])))
+
+
+class TestEachPartIsWalkedOnce:
+    """The parser walks each re/im part once, for its x1..xn check, and
+    stores what it finds; nothing after it walks a tree again."""
+
+    # (document, is_constant, has_lower_order_terms)
+    DOCS = [
+        pytest.param(VARIABLE_2D, False, True, id="variable"),
+        pytest.param(load_doc(PRESET_DIR / "example2.json"), False, False, id="example2"),
+        pytest.param(load_doc(PRESET_DIR / "example3.json"), True, True, id="example3"),
+    ]
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        walks = []
+        walker = coeffspec._max_var_index
+        monkeypatch.setattr(coeffspec, "_max_var_index", lambda node: walks.append(node) or walker(node))
+        return walks
+
+    @pytest.mark.parametrize("doc, constant, lower", DOCS)
+    def test_parsing_walks_once_and_readers_never(self, monkeypatch, doc, constant, lower):
+        walks = self.count_walks(monkeypatch)
+        spec = spec_from_dict(doc)
+        assert len(walks) == part_count(doc)
+
+        def unreachable(node):
+            raise AssertionError("a tree was walked after parsing")
+
+        monkeypatch.setattr(coeffspec, "_max_var_index", unreachable)
+        assert spec.is_constant == constant
+        assert spec.has_lower_order_terms == lower
+        sample_operator(spec, Grid.from_spec(spec).points())
+        discretize(spec)
+
+    @pytest.mark.parametrize("doc, constant, lower", DOCS)
+    @pytest.mark.parametrize("argv", [("check", "--p", "3"), ("interval",), ("constant", "--p", "4"),
+                                      ("sufficiency", "--p", "2")], ids=lambda argv: argv[0])
+    def test_a_command_walks_each_part_once(self, monkeypatch, tmp_path, doc, constant, lower, argv):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        walks = self.count_walks(monkeypatch)
+        command, *rest = argv
+        code, _, err = run_cli(command, path, *rest)
+        if command == "constant" and not constant:
+            assert (code, err) == (2, "error: $: constant verdict needs constant coefficients\n")
+        else:
+            assert (code, err) == (0, "")
+        assert len(walks) == part_count(doc)

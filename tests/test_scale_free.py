@@ -35,7 +35,7 @@ PRESETS = ("example1", "example2", "example3", "laplacian1d", "one_plus_i_laplac
 
 
 def preset_field(name):
-    return _field_samples(spec_from_dict(load_preset(name)))[0]
+    return _field_samples(spec_from_dict(load_preset(name)))
 
 
 def seeded_field(n):
@@ -133,7 +133,7 @@ def constant_cases():
     for name in PRESETS:
         spec = spec_from_dict(load_preset(name))
         if spec.is_constant:
-            f = _field_samples(spec)[0]
+            f = _field_samples(spec)
             cases.append((f.A[0], f.b[0] + f.c[0], f.a[0]))
     rng = np.random.default_rng(61)
     for A in seeded_matrices(count=20, seed=62):
