@@ -50,6 +50,7 @@ from .formcheck import _FAMILY_NAMES, falsify
 from .grids import Grid, GridFunction
 from .pointwise import (
     NonnegativityError,
+    SymDecomp,
     _validate_p,
     constant_coeff_verdict,
     decompose,
@@ -117,7 +118,8 @@ def _canonical_bump(grid):
 
 def _cmd_check(spec, p, args):
     sam = _field_samples(spec)
-    holds, bad = _condition_everywhere(decompose(sam.A), p)
+    dec = decompose(sam.A)
+    holds, bad = _condition_everywhere(dec, p)
     qualifier = _qualifier(spec, sam)
     if not holds:
         dissipative = False
@@ -129,7 +131,7 @@ def _cmd_check(spec, p, args):
     if bad is not None:
         witness = {
             "node": [float(v) for v in sam.points[bad]],
-            "xi": violating_direction(decompose(sam.A[bad]), p).tolist(),
+            "xi": violating_direction(SymDecomp(dec.S_r[bad], dec.S_i[bad]), p).tolist(),
         }
     return dict(
         inputs={"p": p, "strict": bool(args.strict)},

@@ -38,7 +38,10 @@ polish, reproducible for a given seed.  A descent trial moves one
 coordinate, so each run keeps the factors its probes are built from
 (per-axis bumps, the last profile, plane waves, the log-spiral's
 logarithm) and a trial rebuilds only the factor its step changed; a
-kept factor is the array a fresh build computes, bit for bit.
+kept factor is the array a fresh build computes, bit for bit.  The
+starts run in chunks whose terms' bumps fit the bump table: before a
+chunk is built, the bumps not kept yet are taken in one call per axis
+on stacked arguments, and each start is then evaluated on its own.
 """
 
 from __future__ import annotations
@@ -325,6 +328,9 @@ class _ProbeFactors:
     bumps are even, and neither a start nor a descent step gives
     t = -0.0, so a kept factor is a fresh build's array bit for bit.  A
     run therefore holds at most _WAVE_SLOTS + 2 grid-sized arrays.
+    ``keep_bumps`` fills the bump table ahead of a chunk of starts, one
+    bump call per axis for all the chunk's terms, so that the chunk's
+    builds find every bump kept.
     """
 
     def __init__(self, grid):
@@ -342,16 +348,36 @@ class _ProbeFactors:
         """
 
         def make():
-            rho = np.zeros(self.shape)
+            # every piece is >= +0.0, so starting from the first one gives
+            # the bits of a sum started from zeros
+            rho = None
             for amp, ctrs, rads in terms:
                 piece = amp
                 for k, ax in enumerate(self.axes):
                     key = (k, ctrs[k], rads[k])
                     piece = piece * _kept(self.bumps, _BUMP_SLOTS, key, lambda: bump((ax - ctrs[k]) / rads[k]))
-                rho = rho + piece
+                rho = piece if rho is None else rho + piece
             return rho
 
         return _kept(self.profiles, 1, terms, make)
+
+    def keep_bumps(self, terms):
+        """Keep the per-axis bumps of ``terms``: those not kept yet are the
+        rows of one bump call per axis on their stacked arguments, each row
+        the array a fresh build computes.  Keys are touched or added in
+        turn, so up to _BUMP_SLOTS of them are all kept on return."""
+        for k, ax in enumerate(self.axes):
+            new = []
+            for key in dict.fromkeys((k, ctrs[k], rads[k]) for _, ctrs, rads in terms):
+                if key in self.bumps:
+                    self.bumps.move_to_end(key)
+                else:
+                    new.append(key)
+            if new:
+                _, ctrs, rads = (np.array(col)[:, None] for col in zip(*new))
+                rows = bump((ax.reshape(1, -1) - ctrs) / rads)
+                for key, row in zip(new, rows):
+                    _kept(self.bumps, _BUMP_SLOTS, key, row.reshape(ax.shape).copy)
 
     def _wave(self, t, kvec):
         """exp(i t <k, x>) at every node, <k, x> summed over the axes in order."""
@@ -381,13 +407,23 @@ class _ProbeFactors:
         return rho * parts
 
 
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)`` for its draw ``u`` of ``Generator.random``."""
+    return float(low + (high - low) * u)
+
+
 def _random_terms(rng, box):
+    n = len(box)
     cnt = int(rng.integers(1, 4))
     terms = []
     for _ in range(cnt):
-        amp = float(rng.uniform(0.2, 1.0))
-        ctrs = tuple(float(rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))) for lo, hi in box)
-        rads = tuple(float(rng.uniform(0.15, 0.6) * (hi - lo)) for lo, hi in box)
+        # Generator.uniform draws one double of Generator.random and maps it
+        # as _uniform does, so one draw of the term's 1 + 2n doubles is the
+        # same stream and gives the same floats as 1 + 2n uniform calls
+        u = rng.random(1 + 2 * n).tolist()
+        amp = _uniform(0.2, 1.0, u[0])
+        ctrs = tuple(_uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), v) for (lo, hi), v in zip(box, u[1:]))
+        rads = tuple(float(_uniform(0.15, 0.6, v) * (hi - lo)) for (lo, hi), v in zip(box, u[1 + n :]))
         terms.append((amp, ctrs, rads))
     return tuple(terms)
 
@@ -512,7 +548,13 @@ def falsify(spec, p, budget=2000, seed=0):
     rng = np.random.default_rng(seed)
 
     starts = _make_starts(p, budget, rng, box, n)
-    values = [ev.value(probes.build(fam, params)) for fam, params in starts]
+    # the bumps of a chunk's terms (3 at most per start) fit the table
+    chunk = _BUMP_SLOTS // (3 * n)
+    values = []
+    for first in range(0, len(starts), chunk):
+        part = starts[first : first + chunk]
+        probes.keep_bumps([term for _, params in part for term in params["terms"]])
+        values += [ev.value(probes.build(fam, params)) for fam, params in part]
     evaluations = len(starts)
 
     ranked = sorted(

@@ -243,6 +243,20 @@ def mesh_profile_oracle(grid, terms):
     return rho
 
 
+def random_terms_oracle(rng, box):
+    """Seeded profile terms drawn value by value with ``Generator.uniform``:
+    1 to 3 terms of an amplitude, a centre per axis inside the middle 70%
+    of the box and a radius per axis of 15% to 60% of its width."""
+    cnt = int(rng.integers(1, 4))
+    terms = []
+    for _ in range(cnt):
+        amp = float(rng.uniform(0.2, 1.0))
+        ctrs = tuple(float(rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))) for lo, hi in box)
+        rads = tuple(float(rng.uniform(0.15, 0.6) * (hi - lo)) for lo, hi in box)
+        terms.append((amp, ctrs, rads))
+    return tuple(terms)
+
+
 def separable_profile_oracle(axes, terms):
     """Sum of amp * prod bump((x - ctr)/rad) with the bumps taken per
     axis on ``axes`` (``np.ix_`` of the grid axes) and multiplied out

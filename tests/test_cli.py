@@ -12,7 +12,7 @@ from dissipate import cli, formcheck
 from dissipate.cli import _build_parser
 from dissipate.coeffspec import NODE_CAP, load_doc, sample_operator, spec_from_dict
 from dissipate.grids import Grid
-from dissipate.pointwise import decompose, p_interval, q_sufficiency
+from dissipate.pointwise import decompose, p_interval, q_sufficiency, violating_direction
 from dissipate.report import spec_digest
 
 from conftest import (
@@ -560,6 +560,32 @@ class TestCheck:
         assert run_cli("interval", path) == (2, "", "error: Re A has a negative direction\n")
         suff = json_out("sufficiency", path, "--p", "2", "--format", "json")
         assert suff["verdict"]["decision"] is False
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "1", "im": "x1"}]]},
+            {"n": 2, "domain": [[0, 1], [-1, 1]], "grid": [8, 9],
+             "A": [[{"re": "1+x1", "im": "x2"}, {"im": "0.5*x1"}], [{"im": "0.5*x1"}, {"re": "2"}]]},
+            FIELD_3D,
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_failing_check_decomposes_its_samples_once(self, monkeypatch, tmp_path, doc):
+        # the witness comes from the request's stacked decomposition, sliced
+        # at the failing node: the direction of that node decomposed alone
+        p = 40.0
+        spec = spec_from_dict(doc)
+        A = sample_operator(spec, Grid.from_spec(spec).points()).A
+        bad = [p_condition_oracle(M, p) for M in A].index(False)
+        want = violating_direction(decompose(A[bad]), p).tolist()
+        path = write_doc(tmp_path, "failing", doc)
+        seen = []
+        monkeypatch.setattr(cli, "decompose", lambda A: seen.append(A.shape) or decompose(A))
+        payload = json_out("check", path, "--p", "40", "--format", "json")
+        assert payload["verdict"]["decision"] is False
+        assert payload["witness"]["xi"] == want
+        assert seen == [A.shape]
 
     def test_failing_check_names_a_direction(self):
         payload = json_out("check", preset("one_plus_i_laplacian"), "--p", "12", "--format", "json")

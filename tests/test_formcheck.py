@@ -37,6 +37,7 @@ from conftest import (
     pack_oracle,
     padded_gradient_oracle,
     probe_values_oracle,
+    random_terms_oracle,
     separable_profile_oracle,
     unpack_oracle,
 )
@@ -183,6 +184,66 @@ class TestBitExactKernels:
             got = probes.profile(terms)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+    def test_stacked_bumps_match_the_per_row_bumps(self, monkeypatch):
+        # axis 0 has nodes at k/8: the second term's bump reaches |r| = 1
+        # exactly there, and the third term has no node inside its support
+        grid = Grid((0.0, -1.0), (1.0, 1.0), (7, 9))
+        box = list(zip(grid.lo, grid.hi))
+        axes = np.ix_(*(grid.axis(k) for k in range(grid.n)))
+        rng = np.random.default_rng(7)
+        terms = ((1.0, (0.5, 0.0), (0.5, 1.0)), (0.7, (0.5, -0.3), (0.25, 0.8)), (0.3, (3.0, 5.0), (0.5, 0.4)))
+        for _ in range(5):
+            terms = terms + _random_terms(rng, box)
+        terms = terms + terms[:2]  # repeated keys are taken once
+        assert np.any(np.abs((axes[0] - 0.5) / 0.25) == 1.0)
+        assert not np.any(np.abs((axes[0] - 3.0) / 0.5) < 1.0)
+        calls = []
+        monkeypatch.setattr(formcheck, "bump", lambda r: calls.append(r.shape) or bump(r))
+        probes = _ProbeFactors(grid)
+        probes.keep_bumps(terms)
+        rows = len(terms) - 2
+        assert calls == [(rows, 7), (rows, 9)]
+        assert len(probes.bumps) == 2 * rows <= _BUMP_SLOTS
+        for _, ctrs, rads in terms:
+            for k, ax in enumerate(axes):
+                kept = probes.bumps[(k, ctrs[k], rads[k])]
+                ref = bump((ax - ctrs[k]) / rads[k])
+                assert kept.shape == ref.shape
+                assert kept.tobytes() == ref.tobytes()
+        # the profiles are built from the kept bumps alone
+        for i in range(len(terms) - 2):
+            assert probes.profile(terms[i : i + 3]).tobytes() == separable_profile_oracle(axes, terms[i : i + 3]).tobytes()
+        assert len(calls) == 2
+        # a second call takes the keys not kept yet, on their axes only
+        probes.keep_bumps(terms[:1] + ((0.5, (0.5, 0.1), (0.5, 0.3)),))
+        assert calls[2:] == [(1, 9)]
+
+    @pytest.mark.parametrize(
+        "box",
+        [[(-0.3, 1.7)], [(-3.0, -1.0), (0.25, 0.251)], [(0, 1), (-2.0, -1.5), (5.0, 5.001)]],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_random_terms_match_the_uniform_draws(self, box):
+        # one draw per term gives the floats and the stream of a
+        # Generator.uniform call per value
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert repr(_random_terms(rng, box)) == repr(random_terms_oracle(ref, box))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_starts_match_the_uniform_draws(self, monkeypatch):
+        # the seeds and boxes of the tests above, at p = 3 and at p = 4
+        cases = [(Grid.from_spec(spec_from_dict(doc), shape=shape), sum(shape)) for doc, shape in EVALUATOR_CASES]
+        cases = [(list(zip(grid.lo, grid.hi)), seed) for grid, seed in cases]
+        cases += [(box, len(box)) for box in ([(-0.3, 1.7)], [(0.25, 2.0), (-1.0, -0.2)], [(-0.5, 0.5), (1.0, 4.0), (-2.0, 3.0)])]
+        for box, seed in cases:
+            for p in (3.0, 4.0):
+                got = _make_starts(p, 400, np.random.default_rng(seed), box, len(box))
+                with monkeypatch.context() as m:
+                    m.setattr(formcheck, "_random_terms", random_terms_oracle)
+                    want = _make_starts(p, 400, np.random.default_rng(seed), box, len(box))
+                assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("doc,shape", EVALUATOR_CASES, ids=EVALUATOR_IDS)
     def test_evaluator_matches_the_node_first_formula(self, doc, shape):
@@ -551,6 +612,9 @@ class TestFalsifier:
         axes = np.ix_(*(grid.axis(k) for k in range(grid.n)))
         built = []
         bumps = 0
+        start_bumps = None
+        budget = 300
+        n_starts = int(0.55 * budget)
         build = _ProbeFactors.build
 
         def counted(r):
@@ -559,6 +623,9 @@ class TestFalsifier:
             return bump(r)
 
         def checked(self, family, params):
+            nonlocal start_bumps
+            if len(built) == n_starts:
+                start_bumps = bumps
             vals = build(self, family, params)
             assert vals.tobytes() == probe_values_oracle(family, params, axes).tobytes()
             built.append((family, len(params["terms"])))
@@ -566,15 +633,17 @@ class TestFalsifier:
 
         monkeypatch.setattr(_ProbeFactors, "build", checked)
         monkeypatch.setattr(formcheck, "bump", counted)
-        budget = 300
         res = falsify(spec, p, budget=budget, seed=seed)
         assert len(built) == res.evaluations + 1
-        starts, trials = built[: int(0.55 * budget)], built[int(0.55 * budget) : -1]
+        starts, trials = built[:n_starts], built[n_starts:-1]
         assert {family for family, _ in starts} == {1, 2, 3}
         assert {family for family, _ in trials} == descended
         assert max(terms for _, terms in trials) > 1
         # the kept factors were used: fewer bumps than fresh builds take
         assert bumps < grid.n * sum(terms for _, terms in built)
+        # the starts take one bump call per axis and chunk at most
+        chunk = _BUMP_SLOTS // (3 * grid.n)
+        assert start_bumps <= grid.n * math.ceil(n_starts / chunk)
 
     def test_kept_factors_stay_bounded(self, monkeypatch):
         # sizes, not times: the tables fill up and stay at their slots,
