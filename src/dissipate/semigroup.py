@@ -18,9 +18,11 @@ for the grid spacing is a ValueError naming a node.
 
 ``evolve`` runs implicit Euler steps of u' = M u with the system matrix
 factored once (minimum degree ordering on A^T + A in SuperLU's
-symmetric mode, threshold pivoting kept), recording the L^p norm of the
-iterate at every step; a system whose matrix and initial data have no
-nonzero imaginary entry is factored and solved in real arithmetic.
+symmetric mode, threshold pivoting kept, one-column panels: the fill
+of the default panel, less overhead on these sparse grid columns),
+recording the L^p norm of the iterate at every step; a system whose
+matrix and initial data have no nonzero imaginary entry is factored
+and solved in real arithmetic.
 ``estimate_omega`` turns a norm trace into a growth bound estimate: the
 largest sliding-window slope of log ||u||, clamped at zero.
 """
@@ -221,11 +223,14 @@ def evolve(op, u0, dt, t_end, p):
     for every step.  The stencil matrices are structurally symmetric:
     the ordering is minimum degree on A^T + A, in SuperLU's symmetric
     mode, with threshold partial pivoting kept, so a small or zero
-    diagonal entry still pivots off the diagonal.  When neither I - dt M
-    nor the initial data has a nonzero imaginary entry, the
-    factorization and the solves run in real arithmetic; the norms then
-    agree with the complex route up to rounding.  ``round(t_end / dt)``
-    steps are taken (at least one, at most STEP_CAP).
+    diagonal entry still pivots off the diagonal.  SuperLU factors in
+    panels of one column: the permutations and the fill are those of
+    its default panel, which only adds overhead on these very sparse
+    grid columns.  When neither I - dt M nor the initial data has a
+    nonzero imaginary entry, the factorization and the solves run in
+    real arithmetic; the norms then agree with the complex route up to
+    rounding.  ``round(t_end / dt)`` steps are taken (at least one, at
+    most STEP_CAP).
     """
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValueError(f"need finite dt > 0 and t_end > 0, got dt = {dt:g}, t_end = {t_end:g}")
@@ -256,7 +261,7 @@ def evolve(op, u0, dt, t_end, p):
     norms = np.empty(steps + 1)
     norms[0] = lp_norm(vec, p, grid.weight)
     try:
-        lu = splu(system, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = splu(system, permc_spec="MMD_AT_PLUS_A", panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as err:
         raise RuntimeError(f"time step matrix I - dt M is singular: {err}") from err
 

@@ -408,9 +408,10 @@ def unpack_oracle(family, params, vec, box):
 
 def complex_evolve_oracle(op, u0, dt, t_end, p, colamd=False):
     """Implicit Euler norms with the factorization and the solves always
-    in complex arithmetic, whatever the input.  The factorization uses
-    the ordering of ``evolve``, so the complex route matches bit for bit,
-    or SuperLU's default COLAMD ordering with ``colamd=True``."""
+    in complex arithmetic, whatever the input.  The factorization takes
+    the arguments of ``evolve`` (its ordering and its one-column panels),
+    so the complex route matches bit for bit, or SuperLU's defaults
+    (COLAMD ordering, default panel) with ``colamd=True``."""
     grid = op.grid
     vec = np.asarray(getattr(u0, "values", u0), dtype=complex).reshape(-1)
     steps = max(1, int(round(t_end / dt)))
@@ -418,7 +419,7 @@ def complex_evolve_oracle(op, u0, dt, t_end, p, colamd=False):
     if colamd:
         lu = splu(system)
     else:
-        lu = splu(system, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = splu(system, permc_spec="MMD_AT_PLUS_A", panel_size=1, options={"SymmetricMode": True})
 
     def norm(v):
         # the sum on |v| / 2^e, with 2^e the power of two at max |v|

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.sparse import identity
+from scipy.sparse.linalg import splu
 
 from dissipate import semigroup
 from dissipate.coeffspec import NODE_CAP, spec_from_dict
@@ -432,15 +433,17 @@ class TestStepCap:
 
 
 def _recording_splu(monkeypatch):
-    dtypes = []
+    """Record each (system, factorization) pair that ``evolve`` makes."""
+    factored = []
     real_splu = semigroup.splu
 
     def record(system, **kwargs):
-        dtypes.append(system.dtype)
-        return real_splu(system, **kwargs)
+        lu = real_splu(system, **kwargs)
+        factored.append((system, lu))
+        return lu
 
     monkeypatch.setattr(semigroup, "splu", record)
-    return dtypes
+    return factored
 
 
 # real 2D operator with variable coefficients, a drift and a zero order term
@@ -478,26 +481,26 @@ class TestArithmetic:
             "plus_0j": vals + 0j,
             "gridfunction": GridFunction(op.grid, vals),
         }[kind]
-        dtypes = _recording_splu(monkeypatch)
+        factored = _recording_splu(monkeypatch)
         trace = evolve(op, u0, dt=2e-3, t_end=0.06, p=p)
-        assert dtypes == [np.dtype(np.float64)]
+        assert [system.dtype for system, _ in factored] == [np.dtype(np.float64)]
         ref = complex_evolve_oracle(op, vals, 2e-3, 0.06, p)
         np.testing.assert_allclose(trace.norms, ref, rtol=1e-12, atol=0.0)
 
     def test_complex_operator_stays_complex(self, monkeypatch):
         op = discretize(spec_from_dict(COMPLEX_2D))
         _, vals = self.real_op_and_data()
-        dtypes = _recording_splu(monkeypatch)
+        factored = _recording_splu(monkeypatch)
         trace = evolve(op, vals, dt=2e-3, t_end=0.06, p=3.0)
-        assert dtypes == [np.dtype(np.complex128)]
+        assert [system.dtype for system, _ in factored] == [np.dtype(np.complex128)]
         assert np.array_equal(trace.norms, complex_evolve_oracle(op, vals, 2e-3, 0.06, 3.0))
 
     def test_complex_data_on_a_real_operator_stays_complex(self, monkeypatch):
         op, vals = self.real_op_and_data()
         u0 = GridFunction(op.grid, vals * np.exp(1j * op.grid.meshes()[1]))
-        dtypes = _recording_splu(monkeypatch)
+        factored = _recording_splu(monkeypatch)
         trace = evolve(op, u0, dt=2e-3, t_end=0.06, p=2.0)
-        assert dtypes == [np.dtype(np.complex128)]
+        assert [system.dtype for system, _ in factored] == [np.dtype(np.complex128)]
         assert np.array_equal(trace.norms, complex_evolve_oracle(op, u0, 2e-3, 0.06, 2.0))
 
 
@@ -513,25 +516,48 @@ LAPLACIAN_3D = {
 }
 
 
+# a 1D operator with a complex variable coefficient and a drift
+VARIABLE_1D = doc_1d(grid=[200], A=[[{"re": "1 + x1", "im": "0.5"}]], b=[{"re": "x1"}])
+FACTORED_DOCS = {
+    "real_2d": REAL_2D,
+    "complex_2d": COMPLEX_2D,
+    "laplacian_3d": LAPLACIAN_3D,
+    "variable_1d": VARIABLE_1D,
+}
+
+
+def _bump_data(op):
+    meshes = op.grid.meshes()
+    return np.prod([np.sin(np.pi * x) for x in meshes], axis=0) + 0.25 * meshes[0]
+
+
 class TestFactorization:
     """The minimum-degree ordering in symmetric mode changes the LU
     fill, not the solution: the norms agree with a COLAMD-ordered
-    factorization up to rounding, and threshold pivoting is kept."""
+    factorization up to rounding, and threshold pivoting is kept.  The
+    one-column panels change the time of the factorization, not its
+    structure: the permutations and the fill are those of SuperLU's
+    default panel."""
 
     @pytest.mark.parametrize("case", ["real_2d", "complex_2d", "laplacian_3d"])
     def test_norms_match_a_colamd_factorization(self, case):
-        doc = {
-            "real_2d": REAL_2D,
-            "complex_2d": COMPLEX_2D,
-            "laplacian_3d": LAPLACIAN_3D,
-        }[case]
-        op = discretize(spec_from_dict(doc))
-        meshes = op.grid.meshes()
-        u0 = np.prod([np.sin(np.pi * x) for x in meshes], axis=0) + 0.25 * meshes[0]
+        op = discretize(spec_from_dict(FACTORED_DOCS[case]))
+        u0 = _bump_data(op)
         for p in (2.0, 3.0):
             trace = evolve(op, u0, dt=2e-3, t_end=0.04, p=p)
             ref = complex_evolve_oracle(op, u0, 2e-3, 0.04, p, colamd=True)
             np.testing.assert_allclose(trace.norms, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", sorted(FACTORED_DOCS))
+    def test_panel_width_keeps_the_ordering_and_the_fill(self, monkeypatch, case):
+        op = discretize(spec_from_dict(FACTORED_DOCS[case]))
+        factored = _recording_splu(monkeypatch)
+        evolve(op, _bump_data(op), dt=2e-3, t_end=0.01, p=2.0)
+        [(system, lu)] = factored
+        ref = splu(system, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_c, ref.perm_c)
+        assert np.array_equal(lu.perm_r, ref.perm_r)
+        assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
 
     # 2 dt / h^2 = 5.78 and dt a = 6.78, so every diagonal entry of
     # I - dt M is exactly zero; a slightly smaller a leaves diagonal
