@@ -21,10 +21,12 @@ Every subcommand takes one path through ``main``: load the document (the
 spec, validate ``--p`` where the subcommand has it, run the handler, and
 render the report under the document's digest.  Input errors surface in
 that order: a bad document before a bad exponent, and both before any
-sampling.  A handler maps ``(spec, p, args)`` to
-``(sections, exit_code)``, where ``sections`` holds the report's
-``inputs``, ``verdict`` and ``numbers`` and, when it has them, its
-``witness`` and ``notes``; ``p`` is None for subcommands without ``--p``.
+sampling; ``simulate`` also checks its run (dt, t_end, the step count
+and the exponent of its norm) before it samples.  A handler maps
+``(spec, p, args)`` to ``(sections, exit_code)``, where ``sections``
+holds the report's ``inputs``, ``verdict`` and ``numbers`` and, when it
+has them, its ``witness`` and ``notes``; ``p`` is None for subcommands
+without ``--p``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .pointwise import (
     violating_direction,
 )
 from .report import render_report, spec_digest
-from .semigroup import discretize, estimate_omega, evolve
+from .semigroup import discretize, estimate_omega, evolve, validate_run
 from .version import __version__
 
 __all__ = ["main"]
@@ -246,6 +248,7 @@ def _cmd_falsify(spec, p, args):
 
 
 def _cmd_simulate(spec, p, args):
+    validate_run(args.dt, args.t_end, p)  # before the operator is sampled
     op = discretize(spec)
     u0 = _canonical_bump(op.grid)
     trace = evolve(op, u0, dt=args.dt, t_end=args.t_end, p=p)

@@ -4,7 +4,8 @@ An operator is described by a JSON document holding, for each coefficient
 (matrix A, drift vectors b and c, zero order term a), a pair of real
 expression strings ("re"/"im") in the variables x1..xn.  This module owns
 
-  * the small expression language (parser and evaluator),
+  * the small expression language: ``parse_expr`` compiles an expression
+    into a postfix program, and ``evaluate`` runs a program at points,
   * loading and validating the JSON document into an OperatorSpec, which
     decides, once per parsed part, whether each field is zero and whether
     it is constant,
@@ -24,6 +25,13 @@ Precedence is ^ over unary minus over * / over + -, so "-x1^2" means
 tanh and bump, where bump(r) = exp(-1/(1-r^2)) for |r| < 1 and 0
 otherwise (a C^2 compactly supported profile).  The only named constant
 is pi.  Variables are x1..xn with n the declared dimension.
+
+A program is a tuple of (op, arg) steps in the order a walk of the
+expression's tree would evaluate them, operands before their operator:
+("num", value) and ("var", index) push a value, ("neg", None) and
+("call", name) replace the top value, and a binary operator ("+", None),
+..., ("^", None) replaces the top two.  A part of a document holds at
+most EXPR_STEP_CAP steps.
 """
 
 from __future__ import annotations
@@ -37,12 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 NODE_CAP = 16384  # interior nodes of a document's grid
+EXPR_STEP_CAP = 4096  # steps of one re/im part of a document's entry
 
 __all__ = [
     "ExprError",
     "EvalDomainError",
     "SpecError",
     "parse_expr",
+    "evaluate",
     "bump",
     "ComplexField",
     "OperatorSpec",
@@ -91,50 +101,7 @@ class SpecError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# expression trees
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-    def ev(self, xs):
-        return np.full_like(xs[0], self.value) if xs else np.float64(self.value)
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-    def ev(self, xs):
-        return xs[self.index - 1]
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-    def ev(self, xs):
-        return -self.child.ev(xs)
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-    def ev(self, xs):
-        return _BINARY[self.op](self.left.ev(xs), self.right.ev(xs))
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-
-    def ev(self, xs):
-        return _CALLS[self.func](self.arg.ev(xs))
+# expression programs
 
 
 def _divide(a, b):
@@ -190,6 +157,27 @@ _CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqr
           "tanh": np.tanh, "bump": lambda t: bump(t)}
 
 
+def evaluate(program, xs):
+    """The value of a program at the points xs, a nonempty tuple of
+    coordinate arrays (or scalars) x1, x2, ...; a partial function outside its
+    domain raises EvalDomainError.  The loop keeps its own stack, so the
+    caller's stack depth does not matter."""
+    stack = []
+    for op, arg in program:
+        if op == "num":
+            stack.append(np.full_like(xs[0], arg))
+        elif op == "var":
+            stack.append(xs[arg - 1])
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "call":
+            stack[-1] = _CALLS[arg](stack[-1])
+        else:
+            right = stack.pop()
+            stack[-1] = _BINARY[op](stack[-1], right)
+    return stack.pop()
+
+
 # ----------------------------------------------------------------------
 # tokenizer / parser
 
@@ -225,40 +213,41 @@ def _tokenize(text):
 
 
 # The parser functions take the tokens reversed: toks[-1] is the next one
-# and toks.pop() consumes it.
-def _chain(toks, level=0):
+# and toks.pop() consumes it.  Each appends its steps to the program out.
+def _chain(toks, out, level=0):
     """operand (op operand)* with the operators of _LEVELS[level], the
     operand being the next level, or a unary below the last one."""
     if level == len(_LEVELS):
-        return _unary(toks)
-    node = _chain(toks, level + 1)
+        return _unary(toks, out)
+    _chain(toks, out, level + 1)
     while toks[-1][0] in _LEVELS[level]:
         op, _ = toks.pop()
-        node = Bin(op, node, _chain(toks, level + 1))
-    return node
+        _chain(toks, out, level + 1)
+        out.append((op, None))
 
 
-def _unary(toks):
+def _unary(toks, out):
     if toks[-1][0] == "-":
         toks.pop()
-        return Neg(_unary(toks))
-    base = _atom(toks)
+        _unary(toks, out)
+        out.append(("neg", None))
+        return
+    _atom(toks, out)
     if toks[-1][0] == "^":
         toks.pop()
         # exponent at unary level: 2^-3 parses, and ^ stays right
         # associative because _unary comes back here
-        return Bin("^", base, _unary(toks))
-    return base
+        _unary(toks, out)
+        out.append(("^", None))
 
 
-def _atom(toks):
+def _atom(toks, out):
     """A number, pi or a variable; or a function call or a parenthesized
     expression, which share the closing-parenthesis check."""
     val, off = toks.pop()
-    if isinstance(val, float):
-        return Num(val)
-    if val == "pi":
-        return Num(math.pi)
+    if isinstance(val, float) or val == "pi":
+        out.append(("num", math.pi if val == "pi" else val))
+        return
     if val != "(" and not val.isidentifier():  # the end, or another operator
         raise ExprError("expected a value", off)
     nxt, at = toks[-1]
@@ -275,51 +264,30 @@ def _atom(toks):
             raise ExprError("variable indices start at x1", off)
         if nxt == "(":
             raise ExprError(f"'{val}' is a variable, not a function", at)
-        return Var(idx)
+        out.append(("var", idx))
+        return
     elif val != "(":
         raise ExprError(f"unknown identifier '{val}'", off)
-    node = _chain(toks)
+    _chain(toks, out)
     close, at = toks.pop()
     if close != ")":
         raise ExprError("expected ')'", at)
-    return node if val == "(" else Call(val, node)
+    if val != "(":
+        out.append(("call", val))
 
 
 def parse_expr(text):
-    """Parse an expression string into a tree.  Raises ExprError."""
+    """Compile an expression string into a program, a tuple of (op, arg)
+    steps.  Raises ExprError."""
     if not isinstance(text, str):
         raise ExprError("expression must be a string", 0)
     toks = _tokenize(text)[::-1]
-    node = _chain(toks)
+    out = []
+    _chain(toks, out)
     val, off = toks.pop()
     if val != "":
         raise ExprError(f"unexpected trailing input '{val}'", off)
-    return node
-
-
-def _expr_is_zero(node):
-    """Structural zero test (literal 0, possibly negated)."""
-    while isinstance(node, Neg):
-        node = node.child
-    return isinstance(node, Num) and node.value == 0.0
-
-
-def _max_var_index(node):
-    """Largest variable index in the tree, 0 when it has no variable.
-    The walk keeps its own stack, so a tree that parsed is never too
-    deep for it, however deep the caller's stack."""
-    top, todo = 0, [node]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Var):
-            top = max(top, node.index)
-        elif isinstance(node, Bin):
-            todo += (node.left, node.right)
-        elif isinstance(node, Neg):
-            todo.append(node.child)
-        elif isinstance(node, Call):
-            todo.append(node.arg)
-    return top
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -328,12 +296,12 @@ def _max_var_index(node):
 
 @dataclass(frozen=True)
 class ComplexField:
-    """A complex scalar field given by a pair of real expression trees.
+    """A complex scalar field given by a pair of real expression programs.
 
     ``is_zero`` (both parts a literal 0, possibly negated) and
     ``is_constant`` (no variable in either part) are decided where the
-    parts are parsed, by ``_parse_entry``; no reader walks a tree again.
-    A zero field is constant."""
+    parts are parsed, by ``_parse_entry``; after that, only ``evaluate``
+    reads a program's steps.  A zero field is constant."""
 
     re: object
     im: object
@@ -341,12 +309,12 @@ class ComplexField:
     is_constant: bool
 
     def ev(self, xs):
-        re = self.re.ev(xs)
-        im = self.im.ev(xs)
+        re = evaluate(self.re, xs)
+        im = evaluate(self.im, xs)
         return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 
 
-_ZERO = Num(0.0)
+_ZERO = (("num", 0.0),)
 _ZERO_FIELD = ComplexField(_ZERO, _ZERO, is_zero=True, is_constant=True)  # an absent entry
 
 
@@ -365,15 +333,15 @@ def _finite(val, path):
 
 def _parse_entry(raw, path, n):
     """Build a ComplexField from a JSON {"re": ..., "im": ...} object; a
-    missing part is zero, and each part may only reference x1..xn.  The
-    one walk of each part, for that range check, also decides whether the
-    field is constant."""
+    missing part is zero, and each part may only reference x1..xn and
+    hold at most EXPR_STEP_CAP steps.  Whether the field is zero and
+    whether it is constant are read off the steps here, once."""
     if not isinstance(raw, dict):
         raise SpecError(path, "expected an object with 're'/'im' keys")
     extra = set(raw) - {"re", "im"}
     if extra:
         raise SpecError(path, f"unknown keys {sorted(extra)}")
-    parts, top = [], 0
+    parts, top, zero = [], 0, True
     for key in ("re", "im"):
         if key not in raw:
             parts.append(_ZERO)
@@ -385,18 +353,22 @@ def _parse_entry(raw, path, n):
         if not isinstance(val, str):
             val = repr(_finite(val, where))
         try:
-            node = parse_expr(val)
+            steps = parse_expr(val)
         except ExprError as err:
             raise SpecError(where, str(err)) from err
         except RecursionError:
             raise SpecError(where, "expression is nested too deeply") from None
-        idx = _max_var_index(node)
+        if len(steps) > EXPR_STEP_CAP:
+            raise SpecError(where, f"expression has {len(steps)} steps, cap is {EXPR_STEP_CAP}")
+        idx = max((arg for op, arg in steps if op == "var"), default=0)
         if idx > n:
             raise SpecError(where, f"references x{idx} but n = {n}")
-        parts.append(node)
+        parts.append(steps)
         top = max(top, idx)
+        # a structural zero: the literal 0, possibly negated
+        zero = zero and steps[0] == _ZERO[0] and all(op == "neg" for op, _ in steps[1:])
     re, im = parts
-    return ComplexField(re, im, is_zero=_expr_is_zero(re) and _expr_is_zero(im), is_constant=top == 0)
+    return ComplexField(re, im, is_zero=zero, is_constant=top == 0)
 
 
 @dataclass(frozen=True)
@@ -576,8 +548,6 @@ def _eval_field(field, xs, where):
     except EvalDomainError as err:
         at = f" near node {_point_label(xs, err.index)}" if err.index is not None else ""
         raise EvalDomainError(f"{where}: {err}{at}") from err
-    except RecursionError:
-        raise EvalDomainError(f"{where}: expression is nested too deeply") from None
     bad = ~np.isfinite(np.asarray(vals))
     if np.any(bad):
         at = _point_label(xs, int(np.argmax(bad.reshape(-1))))

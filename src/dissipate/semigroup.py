@@ -49,6 +49,7 @@ __all__ = [
     "discretize",
     "lp_norm",
     "NormTrace",
+    "validate_run",
     "evolve",
     "estimate_omega",
     "STEP_CAP",
@@ -172,9 +173,7 @@ def lp_norm(values, p, weight):
     up to NORM_P_MAX; a larger p is a ValueError.  The norm is inf or
     NaN only when an entry is, or when it exceeds the float range.
     """
-    if not (isinstance(p, numbers.Real) and 1.0 <= p <= NORM_P_MAX):
-        raise ValueError(f"norm exponent must be finite and >= 1, at most {NORM_P_MAX}, got {p!r}")
-    p = float(p)
+    p = _norm_exponent(p)
     vals = np.abs(values).ravel()
     e = math.frexp(vals.max(initial=0.0))[1]
     root = float(np.sum(np.ldexp(vals, -e, out=vals) ** p) * weight) ** (1.0 / p)
@@ -182,6 +181,27 @@ def lp_norm(values, p, weight):
         return math.ldexp(root, e)
     except OverflowError:
         return math.inf
+
+
+def _norm_exponent(p):
+    if not (isinstance(p, numbers.Real) and 1.0 <= p <= NORM_P_MAX):
+        raise ValueError(f"norm exponent must be finite and >= 1, at most {NORM_P_MAX}, got {p!r}")
+    return float(p)
+
+
+def validate_run(dt, t_end, p):
+    """The number of implicit Euler steps of a run, ``round(t_end / dt)``
+    and at least one; a ValueError unless dt and t_end are finite and
+    positive, the steps are at most STEP_CAP and p is an L^p exponent
+    that ``lp_norm`` takes.  Cheap, so a caller can check a run before
+    it assembles the operator."""
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise ValueError(f"need finite dt > 0 and t_end > 0, got dt = {dt:g}, t_end = {t_end:g}")
+    ratio = t_end / dt  # may overflow to inf
+    if ratio > STEP_CAP + 1 or round(ratio) > STEP_CAP:
+        raise ValueError(f"t_end / dt = {ratio:.6g} asks for more than {STEP_CAP} steps")
+    _norm_exponent(p)
+    return max(1, int(round(ratio)))
 
 
 @dataclass
@@ -229,11 +249,10 @@ def evolve(op, u0, dt, t_end, p):
     grid columns.  When neither I - dt M nor the initial data has a
     nonzero imaginary entry, the factorization and the solves run in
     real arithmetic; the norms then agree with the complex route up to
-    rounding.  ``round(t_end / dt)`` steps are taken (at least one, at
-    most STEP_CAP).
+    rounding.  ``validate_run`` checks the run and gives its number of
+    steps, ``round(t_end / dt)``, at least one and at most STEP_CAP.
     """
-    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
-        raise ValueError(f"need finite dt > 0 and t_end > 0, got dt = {dt:g}, t_end = {t_end:g}")
+    steps = validate_run(dt, t_end, p)
     grid = op.grid
     if isinstance(u0, GridFunction):
         if u0.grid != grid:
@@ -243,10 +262,6 @@ def evolve(op, u0, dt, t_end, p):
         vec = np.asarray(u0).reshape(-1)
         if vec.size != grid.size:
             raise ValueError("initial data does not match the grid")
-    ratio = t_end / dt  # may overflow to inf
-    if ratio > STEP_CAP + 1 or round(ratio) > STEP_CAP:
-        raise ValueError(f"t_end / dt = {ratio:.6g} asks for more than {STEP_CAP} steps")
-    steps = max(1, int(round(ratio)))
     system = (identity(grid.size, format="csc", dtype=complex) - dt * op.matrix).tocsc()
     if not system.data.imag.any() and not np.imag(vec).any():
         # system.real would keep a strided view of the data, which

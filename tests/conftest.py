@@ -16,7 +16,7 @@ from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
 from dissipate.cli import main as cli_main
-from dissipate.coeffspec import _eval_field, bump, sample_operator
+from dissipate.coeffspec import _BINARY, _CALLS, _eval_field, bump, sample_operator
 from dissipate.formcheck import MASK_EPS
 from dissipate.grids import Grid, GridFunction
 from dissipate.pointwise import TOL_PENCIL
@@ -527,6 +527,70 @@ def discretize_triplet_oracle(spec, grid=None):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size),
     ).tocsc()
+
+
+def tree_value_oracle(tree, xs):
+    """The value of an expression tree at the points xs, by the recursive
+    walk that ``coeffspec.evaluate`` replaced: ("num", value), ("var",
+    index), ("neg", child), ("call", name, child) or (op, left, right),
+    operands before operators through the same helpers."""
+    kind = tree[0]
+    if kind == "num":
+        return np.full_like(xs[0], tree[1])
+    if kind == "var":
+        return xs[tree[1] - 1]
+    if kind == "neg":
+        return -tree_value_oracle(tree[1], xs)
+    if kind == "call":
+        return _CALLS[tree[1]](tree_value_oracle(tree[2], xs))
+    return _BINARY[kind](tree_value_oracle(tree[1], xs), tree_value_oracle(tree[2], xs))
+
+
+def program_tree_oracle(program):
+    """The expression tree of a postfix program."""
+    stack = []
+    for op, arg in program:
+        if op in ("num", "var"):
+            stack.append((op, arg))
+        elif op == "neg":
+            stack.append((op, stack.pop()))
+        elif op == "call":
+            stack.append((op, arg, stack.pop()))
+        else:
+            right = stack.pop()
+            stack.append((op, stack.pop(), right))
+    (tree,) = stack
+    return tree
+
+
+def evaluate_oracle(program, xs):
+    """``coeffspec.evaluate`` as the recursive tree walk."""
+    return tree_value_oracle(program_tree_oracle(program), xs)
+
+
+def random_expr_oracle(rng, n, depth=4, partial=True):
+    """A seeded random expression in x1..xn as (text, tree): every
+    operator, function and leaf kind of the grammar, or with
+    ``partial=False`` only those defined everywhere, each compound
+    subexpression in parentheses so that the text parses to the tree."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            k = int(rng.integers(1, n + 1))
+            return f"x{k}", ("var", k)
+        value = float(rng.choice([0.0, 0.5, 2.0, 3.0, math.pi, rng.uniform(0.0, 4.0)]))
+        return ("pi" if value == math.pi else repr(value)), ("num", value)
+    kind = rng.choice(["neg", "call", "+", "-", "*", "/", "^"] if partial else ["neg", "call", "+", "-", "*"])
+    if kind == "neg":
+        text, tree = random_expr_oracle(rng, n, depth - 1, partial)
+        return f"(-({text}))", ("neg", tree)
+    if kind == "call":
+        names = ["sin", "cos", "exp", "tanh", "bump"] + (["log", "sqrt"] if partial else [])
+        name = str(rng.choice(names))
+        text, tree = random_expr_oracle(rng, n, depth - 1, partial)
+        return f"{name}({text})", ("call", name, tree)
+    left, ltree = random_expr_oracle(rng, n, depth - 1, partial)
+    right, rtree = random_expr_oracle(rng, n, depth - 1, partial)
+    return f"({left}{kind}{right})", (str(kind), ltree, rtree)
 
 
 # A one dimensional operator with every coefficient populated and

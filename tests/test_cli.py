@@ -90,32 +90,46 @@ class TestExitCodes:
             " in position 58: invalid start byte\n"
         )
 
-    # Parsing recurses once per parenthesis and evaluation once per
-    # operator, so the first entry is refused by the parser and the second,
-    # which parses in a loop, by the evaluator.
+    SAMPLING_COMMANDS = [
+        ("interval",),
+        ("check", "--p", "2"),
+        ("falsify", "--p", "2", "--budget", "3"),
+        ("simulate", "--p", "2", "--dt", "1e-3", "--t-end", "1e-2"),
+    ]
+
+    # Parsing recurses once per parenthesis, so the parser refuses 200 of
+    # them; a sum parses and evaluates in a loop, so it is refused only
+    # past EXPR_STEP_CAP steps (2049 terms and 2048 sums).
     @pytest.mark.parametrize(
-        "entry, where",
-        [("(" * 200 + "1" + ")" * 200, "$.A[0][0].re"), ("+".join(["x1"] * 1000), "A[0][0]")],
-        ids=["200-parentheses", "1000-term-sum"],
-    )
-    @pytest.mark.parametrize(
-        "argv",
+        "entry, message",
         [
-            ("interval",),
-            ("check", "--p", "2"),
-            ("falsify", "--p", "2", "--budget", "3"),
-            ("simulate", "--p", "2", "--dt", "1e-3", "--t-end", "1e-2"),
+            ("(" * 200 + "1" + ")" * 200, "expression is nested too deeply"),
+            ("+".join(["x1"] * 2049), "expression has 4097 steps, cap is 4096"),
         ],
-        ids=lambda argv: argv[0],
+        ids=["200-parentheses", "2049-term-sum"],
     )
-    def test_a_too_deep_expression_names_its_entry(self, tmp_path, entry, where, argv):
+    @pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=lambda argv: argv[0])
+    def test_a_too_deep_expression_names_its_entry(self, tmp_path, entry, message, argv):
         bad = tmp_path / "deep.json"
         doc = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": entry}]]}
         bad.write_text(json.dumps(doc), encoding="ascii")
         code, out, err = run_cli(argv[0], str(bad), *argv[1:])
         assert code == 2
         assert out == ""
-        assert err == f"error: {where}: expression is nested too deeply\n"
+        assert err == f"error: $.A[0][0].re: {message}\n"
+
+    @pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=lambda argv: argv[0])
+    def test_a_1000_term_sum_is_accepted(self, tmp_path, argv):
+        doc = {"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "+".join(["x1"] * 1000)}]]}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        code, out, err = run_cli(argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        pts = Grid.from_spec(spec_from_dict(doc)).points()
+        total = pts[:, 0]
+        for _ in range(999):
+            total = total + pts[:, 0]
+        assert sample_operator(spec_from_dict(doc), pts).A[:, 0, 0].real.tobytes() == total.tobytes()
 
     @pytest.mark.parametrize(
         "argv, node",
@@ -846,6 +860,28 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert err == "error: norm exponent must be finite and >= 1, at most 1022, got 2000.0\n"
+
+    @pytest.mark.parametrize(
+        "p, dt, message",
+        [
+            ("2000", "1e-3", "norm exponent must be finite and >= 1, at most 1022, got 2000.0"),
+            ("2", "nan", "need finite dt > 0 and t_end > 0, got dt = nan, t_end = 0.01"),
+        ],
+        ids=["p-2000", "dt-nan"],
+    )
+    def test_the_run_is_checked_before_sampling(self, monkeypatch, tmp_path, p, dt, message):
+        # the coefficient cannot be sampled at x1 <= 0.5, so an error that
+        # names the run shows that nothing was sampled first
+        path = tmp_path / "log.json"
+        path.write_text(json.dumps({"n": 1, "domain": [[0, 1]], "grid": [8], "A": [[{"re": "log(x1-0.5)"}]]}),
+                        encoding="ascii")
+
+        def unreachable(spec):
+            raise AssertionError("discretize was called")
+
+        monkeypatch.setattr(cli, "discretize", unreachable)
+        code, out, err = run_cli("simulate", path, "--p", p, "--dt", dt, "--t-end", "1e-2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_trace_csv_is_written(self, tmp_path):
         out_csv = tmp_path / "trace.csv"

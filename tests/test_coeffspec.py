@@ -13,6 +13,7 @@ from dissipate.coeffspec import (
     ExprError,
     SpecError,
     bump,
+    evaluate,
     load_doc,
     parse_expr,
     sample_operator,
@@ -21,13 +22,13 @@ from dissipate.coeffspec import (
 from dissipate.grids import Grid
 from dissipate.semigroup import discretize
 
-from conftest import PRESET_DIR, run_cli
+from conftest import PRESET_DIR, evaluate_oracle, random_expr_oracle, run_cli, tree_value_oracle
 
 
 def ev(text, *coords):
     """Evaluate an expression at scalar coordinates (x1, x2, ...)."""
     xs = tuple(np.float64(c) for c in coords)
-    return float(parse_expr(text).ev(xs))
+    return float(evaluate(parse_expr(text), xs))
 
 
 def minimal_doc(**over):
@@ -68,7 +69,7 @@ class TestGrammar:
         assert parse_expr("pi") == parse_expr(repr(math.pi))
         assert parsed({"re": "pi"}).is_constant
         xs = (np.linspace(0.0, 1.0, 5),)
-        assert np.array_equal(parse_expr("pi").ev(xs), np.full(5, math.pi))
+        assert np.array_equal(evaluate(parse_expr("pi"), xs), np.full(5, math.pi))
 
     def test_scientific_notation_literals(self):
         assert ev("1.5e-3 + 2E2", 0.0) == pytest.approx(200.0015)
@@ -204,38 +205,117 @@ class TestPartialFunctions:
         ],
     )
     def test_every_domain_error_names_its_message_and_index(self, text, x1, message, index):
-        node = parse_expr(text)
+        program = parse_expr(text)
         with pytest.raises(EvalDomainError) as exc:
-            node.ev((np.asarray(x1, dtype=float),))
+            evaluate(program, (np.asarray(x1, dtype=float),))
         assert str(exc.value) == message
         assert exc.value.index == index
 
     def test_division_by_zero(self):
-        node = parse_expr("1/x1")
+        program = parse_expr("1/x1")
         with pytest.raises(EvalDomainError, match="division by zero"):
-            node.ev((np.array([0.5, 0.0, 1.0]),))
+            evaluate(program, (np.array([0.5, 0.0, 1.0]),))
 
     def test_error_carries_the_offending_index(self):
-        node = parse_expr("log(x1)")
+        program = parse_expr("log(x1)")
         with pytest.raises(EvalDomainError) as exc:
-            node.ev((np.array([1.0, 2.0, -3.0]),))
+            evaluate(program, (np.array([1.0, 2.0, -3.0]),))
         assert exc.value.index == 2
 
     def test_sqrt_of_negative_value(self):
         with pytest.raises(EvalDomainError, match="sqrt"):
-            parse_expr("sqrt(x1)").ev((np.array([-0.1]),))
+            evaluate(parse_expr("sqrt(x1)"), (np.array([-0.1]),))
 
     def test_negative_base_with_fractional_exponent(self):
         with pytest.raises(EvalDomainError, match="non-integer exponent"):
-            parse_expr("x1^0.5").ev((np.array([-1.0]),))
+            evaluate(parse_expr("x1^0.5"), (np.array([-1.0]),))
 
     def test_zero_base_with_negative_exponent(self):
         with pytest.raises(EvalDomainError, match="negative exponent"):
-            parse_expr("x1^-1").ev((np.array([0.0]),))
+            evaluate(parse_expr("x1^-1"), (np.array([0.0]),))
 
     def test_integer_powers_of_negative_bases_are_fine(self):
         assert ev("x1^3", -2.0) == -8.0
         assert ev("x1^2", -3.0) == 9.0
+
+
+def outcome(run, *args):
+    """The bytes of a value, or the message and index of a domain error."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.asarray(run(*args)).tobytes()
+        except EvalDomainError as err:
+            return str(err), err.index
+
+
+def random_doc(seed, partial):
+    """A 2D document whose entries are seeded random expressions, with or
+    without the partial functions."""
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        return {"re": random_expr_oracle(rng, 2, 3, partial)[0], "im": random_expr_oracle(rng, 2, 3, partial)[0]}
+
+    return {
+        "n": 2,
+        "domain": [[0.0, 1.0], [-1.0, 1.0]],
+        "grid": [8, 9],
+        "A": [[entry(), entry()], [entry(), entry()]],
+        "b": [entry(), entry()],
+        "c": [entry(), entry()],
+        "a": entry(),
+    }
+
+
+ORACLE_DOCS = [
+    *(pytest.param(load_doc(PRESET_DIR / f"{name}.json"), id=name)
+      for name in ("example1", "example2", "example3", "laplacian1d", "one_plus_i_laplacian")),
+    *(pytest.param(random_doc(seed, seed >= 10), id=f"random-{seed}") for seed in range(12)),
+]
+
+
+class TestPrograms:
+    """``evaluate`` runs the steps a recursive walk of the expression's
+    tree would run, so values and errors are those of the walk."""
+
+    def test_steps_are_in_tree_walk_order(self):
+        assert parse_expr("-x1^2 + sin(2*x2)") == (
+            ("var", 1), ("num", 2.0), ("^", None), ("neg", None),
+            ("num", 2.0), ("var", 2), ("*", None), ("call", "sin"), ("+", None),
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_evaluate_matches_the_tree_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(1, 4))
+            text, tree = random_expr_oracle(rng, n)
+            program = parse_expr(text)
+            for xs in (tuple(rng.uniform(-2.0, 2.0, 17) for _ in range(n)),
+                       tuple(np.float64(rng.uniform(-2.0, 2.0)) for _ in range(n))):
+                assert outcome(evaluate, program, xs) == outcome(tree_value_oracle, tree, xs), text
+
+    @pytest.mark.parametrize("doc", ORACLE_DOCS)
+    def test_sampling_and_discretize_match_the_tree_walk(self, monkeypatch, doc):
+        spec = spec_from_dict(doc)
+        pts = Grid.from_spec(spec).points()
+
+        def run():
+            try:
+                sam = sample_operator(spec, pts)
+            except EvalDomainError as err:
+                sampled = str(err)
+            else:
+                sampled = [getattr(sam, k).tobytes() for k in ("A", "b", "c", "a", "div_b", "div_c")]
+            try:
+                mat = discretize(spec).matrix
+            except (EvalDomainError, ValueError) as err:
+                return sampled, str(err)
+            return sampled, (mat.data.tobytes(), mat.indices.tobytes(), mat.indptr.tobytes())
+
+        expected = run()
+        monkeypatch.setattr(coeffspec, "evaluate", evaluate_oracle)
+        assert run() == expected
 
 
 class TestBump:
@@ -396,12 +476,23 @@ class TestDocumentValidation:
     def test_a_missing_part_is_zero(self):
         spec = spec_from_dict(minimal_doc(A=[[{"re": "1"}]]))
         assert spec.A[0][0].im == parse_expr("0")
-        assert spec.A[0][0].im.ev((np.float64(0.3),)) == 0.0
+        assert evaluate(spec.A[0][0].im, (np.float64(0.3),)) == 0.0
 
     def test_expression_error_is_located(self):
         with pytest.raises(SpecError) as exc:
             spec_from_dict(minimal_doc(b=[{"im": "1 +"}]))
         assert exc.value.path == "$.b[0].im"
+
+    def test_a_part_may_hold_the_step_cap(self):
+        # -x1 + x1 + ... over 2048 terms: 2048 variables, 2047 sums, one negation
+        text = "-" + "+".join(["x1"] * 2048)
+        assert len(parse_expr(text)) == coeffspec.EXPR_STEP_CAP == 4096
+        assert not spec_from_dict(minimal_doc(a={"im": text})).a.is_constant
+
+    def test_a_part_beyond_the_step_cap_is_refused(self):
+        with pytest.raises(SpecError) as exc:
+            spec_from_dict(minimal_doc(a={"re": "1", "im": "+".join(["x1"] * 2049)}))
+        assert str(exc.value) == "$.a.im: expression has 4097 steps, cap is 4096"
 
     def test_box_diameter(self):
         doc = minimal_doc(
@@ -486,6 +577,18 @@ class TestSampling:
             with pytest.raises(EvalDomainError, match=message):
                 sample_operator(spec, pts)
 
+    def test_acceptance_does_not_depend_on_the_callers_stack(self):
+        doc = minimal_doc(A=[[{"re": "+".join(["x1"] * 950)}]])
+        pts = np.linspace(0.0, 1.0, 9)[:, None]
+
+        def sampled():
+            return sample_operator(spec_from_dict(doc), pts).A.tobytes()
+
+        def under(frames):
+            return under(frames - 1) if frames else sampled()
+
+        assert under(200) == sampled()
+
     def test_shapes(self):
         doc = minimal_doc(
             n=2,
@@ -524,8 +627,9 @@ def part_count(doc):
 
 
 class TestEachPartIsWalkedOnce:
-    """The parser walks each re/im part once, for its x1..xn check, and
-    stores what it finds; nothing after it walks a tree again."""
+    """The parser compiles each re/im part once and reads whether the
+    field is zero and constant off its steps; after that, only
+    ``evaluate`` reads a program's steps."""
 
     # (document, is_constant, has_lower_order_terms)
     DOCS = [
@@ -535,26 +639,62 @@ class TestEachPartIsWalkedOnce:
     ]
 
     @staticmethod
-    def count_walks(monkeypatch):
-        walks = []
-        walker = coeffspec._max_var_index
-        monkeypatch.setattr(coeffspec, "_max_var_index", lambda node: walks.append(node) or walker(node))
-        return walks
+    def watch(monkeypatch):
+        """Log each parsed program, and each read of its steps with the
+        function that made it: "parse" (``_parse_entry``), "evaluate" or
+        None (any other)."""
+        log = {"parsed": [], "reads": [], "in": None}
+
+        class Watched(tuple):
+            def __iter__(self):
+                log["reads"].append((self, log["in"]))
+                return super().__iter__()
+
+            def __getitem__(self, key):
+                log["reads"].append((self, log["in"]))
+                return super().__getitem__(key)
+
+        def inside(name, func):
+            def run(*args):
+                log["in"] = name
+                try:
+                    return func(*args)
+                finally:
+                    log["in"] = None
+            return run
+
+        parse = coeffspec.parse_expr
+
+        def parse_watched(text):
+            log["parsed"].append(Watched(parse(text)))
+            return log["parsed"][-1]
+
+        monkeypatch.setattr(coeffspec, "parse_expr", parse_watched)
+        monkeypatch.setattr(coeffspec, "_parse_entry", inside("parse", coeffspec._parse_entry))
+        monkeypatch.setattr(coeffspec, "evaluate", inside("evaluate", coeffspec.evaluate))
+        return log
+
+    @staticmethod
+    def assert_read_once_then_evaluated(log, doc):
+        """Each part is parsed once, and the parser reads its steps; any
+        other read is made by ``evaluate``."""
+        assert len(log["parsed"]) == part_count(doc)
+        parsing = {id(program) for program, where in log["reads"] if where == "parse"}
+        assert parsing == set(map(id, log["parsed"]))
+        assert all(where in ("parse", "evaluate") for _, where in log["reads"])
 
     @pytest.mark.parametrize("doc, constant, lower", DOCS)
     def test_parsing_walks_once_and_readers_never(self, monkeypatch, doc, constant, lower):
-        walks = self.count_walks(monkeypatch)
+        log = self.watch(monkeypatch)
         spec = spec_from_dict(doc)
-        assert len(walks) == part_count(doc)
-
-        def unreachable(node):
-            raise AssertionError("a tree was walked after parsing")
-
-        monkeypatch.setattr(coeffspec, "_max_var_index", unreachable)
+        self.assert_read_once_then_evaluated(log, doc)
+        log["reads"].clear()
         assert spec.is_constant == constant
         assert spec.has_lower_order_terms == lower
+        assert log["reads"] == []
         sample_operator(spec, Grid.from_spec(spec).points())
         discretize(spec)
+        assert log["reads"] and all(where == "evaluate" for _, where in log["reads"])
 
     @pytest.mark.parametrize("doc, constant, lower", DOCS)
     @pytest.mark.parametrize("argv", [("check", "--p", "3"), ("interval",), ("constant", "--p", "4"),
@@ -562,11 +702,11 @@ class TestEachPartIsWalkedOnce:
     def test_a_command_walks_each_part_once(self, monkeypatch, tmp_path, doc, constant, lower, argv):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc), encoding="ascii")
-        walks = self.count_walks(monkeypatch)
+        log = self.watch(monkeypatch)
         command, *rest = argv
         code, _, err = run_cli(command, path, *rest)
         if command == "constant" and not constant:
             assert (code, err) == (2, "error: $: constant verdict needs constant coefficients\n")
         else:
             assert (code, err) == (0, "")
-        assert len(walks) == part_count(doc)
+        self.assert_read_once_then_evaluated(log, doc)
